@@ -17,12 +17,16 @@ names c123..p14-23, `d` for the Garside element, `s1|s2|s3` for the Artin
 generators, `^` for integer powers, factors separated by `.` or whitespace.
 
 Exit codes: 0 success / conjugate, 1 not conjugate, 2 parse or usage error,
-3 cap exceeded (the safety cap is `--cap` or the B4_SC_CAP variable).
+3 cap exceeded (the safety cap is `--cap` or the B4_SC_CAP variable, a
+non-negative integer).
 
-All output is UTF-8 text; `--json` emits exactly one JSON document on
-stdout.  Graph output is graphviz-compatible DOT: vertices are labeled with
-compact normal forms, edges with the arrow names that induce them, and
-quotient vertices carry their orbit member counts.
+All output is UTF-8 text.  `--json` (and `--graph json`, `--quotient json`)
+emits exactly one JSON document on stdout, failures included: a parse or
+usage error is {"outcome": "error", "reason": "parse-error" | "usage",
+"message": ...}, a search over the cap is {"outcome": "inconclusive",
+"reason": "cap-exceeded", ...}.  Graph output is graphviz-compatible DOT:
+vertices are labeled with compact normal forms, edges with the arrow names
+that induce them, and quotient vertices carry their orbit member counts.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from bkl4.circuits import (
     compute_sc,
     minimal_arrows,
     quotient_graph,
+    resolve_cap,
 )
 from bkl4.engine import GarsideBraid, conjugate, invariants, random_braid
 from bkl4.simples import SIMPLE_NAMES
@@ -63,12 +68,17 @@ EXIT_CAP = 3
 
 
 class _CliError(Exception):
-    """Internal: carries an exit code and a message for stderr."""
+    """Internal: an exit code, a reason for JSON output and a message."""
 
-    def __init__(self, code: int, message: str) -> None:
+    def __init__(self, code: int, reason: str, message: str) -> None:
         super().__init__(message)
         self.code = code
+        self.reason = reason
         self.message = message
+
+    def document(self) -> dict:
+        outcome = "inconclusive" if self.code == EXIT_CAP else "error"
+        return {"outcome": outcome, "reason": self.reason, "message": self.message}
 
 
 def _parse(text: str) -> GarsideBraid:
@@ -76,8 +86,21 @@ def _parse(text: str) -> GarsideBraid:
         return parse_braid(text)
     except ParseError as exc:
         raise _CliError(
-            EXIT_USAGE, f"parse error at position {exc.position}: {exc.message}"
+            EXIT_USAGE,
+            "parse-error",
+            f"parse error at position {exc.position}: {exc.message}",
         ) from exc
+
+
+def _cap(text: str | None) -> int:
+    """The validated search cap: `--cap`, else B4_SC_CAP, else the default."""
+    try:
+        return resolve_cap(None if text is None else int(text))
+    except ValueError as exc:
+        message = str(exc)
+        if text is not None:
+            message = f"--cap must be a non-negative integer, not {text!r}"
+        raise _CliError(EXIT_USAGE, "usage", message) from exc
 
 
 def _invariant_fields(x: GarsideBraid) -> dict:
@@ -104,12 +127,14 @@ def _format_fields(fields: dict) -> str:
     return " ".join(parts)
 
 
-def _compute_sc(x: GarsideBraid, cap: int | None) -> SCSet:
+def _compute_sc(x: GarsideBraid, cap: int) -> SCSet:
     try:
         return compute_sc(x, cap=cap)
     except CapExceededError as exc:
         raise _CliError(
-            EXIT_CAP, f"cap exceeded: the sliding circuit set has more than {exc.cap} elements"
+            EXIT_CAP,
+            "cap-exceeded",
+            f"cap exceeded: the sliding circuit set has more than {exc.cap} elements",
         ) from exc
 
 
@@ -198,7 +223,7 @@ def _json_quotient(sc: SCSet) -> dict:
 
 def cmd_sc(args: argparse.Namespace) -> int:
     x = _parse(args.word)
-    sc = _compute_sc(x, args.cap)
+    sc = _compute_sc(x, _cap(args.cap))
     if args.graph is not None:
         if args.graph == "dot":
             print(_dot_graph(sc))
@@ -219,7 +244,7 @@ def cmd_sc(args: argparse.Namespace) -> int:
 def cmd_conj(args: argparse.Namespace) -> int:
     x = _parse(args.x)
     y = _parse(args.y)
-    decision = solve_conjugacy(x, y, assume_pa=args.assume_pa, cap=args.cap)
+    decision = solve_conjugacy(x, y, assume_pa=args.assume_pa, cap=_cap(args.cap))
     if decision.outcome == CONJUGATE:
         certificate = decision.certificate
         if not verify_certificate(certificate):
@@ -253,8 +278,20 @@ def cmd_conj(args: argparse.Namespace) -> int:
         else:
             print(f"not conjugate ({decision.reason})")
         return EXIT_NOT_CONJUGATE
-    assert decision.outcome == INCONCLUSIVE
-    print(f"inconclusive ({decision.reason})", file=sys.stderr)
+    if decision.outcome != INCONCLUSIVE:
+        raise AssertionError(f"internal error: unknown outcome {decision.outcome!r}")
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    **_invariant_fields(x),
+                    "outcome": "inconclusive",
+                    "reason": decision.reason,
+                }
+            )
+        )
+    else:
+        print(f"inconclusive ({decision.reason})", file=sys.stderr)
     return EXIT_CAP
 
 
@@ -275,6 +312,7 @@ def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    cap = _cap(None)
     rng = random.Random(args.seed)
     writer = csv.writer(sys.stdout)
     writer.writerow(["k", "ell", "sc_size", "t_sc", "t_solve"])
@@ -285,14 +323,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         x = beta_braid(k)
         ell = x.canonical_length
         start = time.perf_counter()
-        sc = _compute_sc(x, None)
+        sc = _compute_sc(x, cap)
         t_sc = time.perf_counter() - start
         w = random_braid(rng, rng.randrange(3, 8), 0)
         y = conjugate(x, w)
         start = time.perf_counter()
-        decision = solve_conjugacy(x, y)
+        decision = solve_conjugacy(x, y, cap=cap)
         t_solve = time.perf_counter() - start
-        assert decision.outcome == CONJUGATE
+        if decision.outcome != CONJUGATE:
+            raise AssertionError(f"internal error: beta_{k} pair {decision.outcome}")
         writer.writerow([k, ell, sc.size, f"{t_sc:.6f}", f"{t_solve:.6f}"])
         lengths.append(ell)
         sc_times.append(max(t_sc, 1e-9))
@@ -343,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--graph", choices=("dot", "json"), help="full SC graph")
     mode.add_argument("--quotient", choices=("dot", "json"), help="orbit quotient graph")
     p_sc.add_argument("--json", action="store_true", help="JSON output (with --size)")
-    p_sc.add_argument("--cap", type=int, help="abort if |SC| exceeds this")
+    p_sc.add_argument("--cap", help="abort if |SC| exceeds this")
     p_sc.set_defaults(func=cmd_sc)
 
     p_conj = sub.add_parser("conj", help="decide conjugacy, print a certificate")
@@ -355,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="assume_pa",
         help="try the rigid-power fast path first (verified, falls back)",
     )
-    p_conj.add_argument("--cap", type=int, help="abort if a search exceeds this")
+    p_conj.add_argument("--cap", help="abort if a search exceeds this")
     p_conj.add_argument("--json", action="store_true", help="JSON output")
     p_conj.set_defaults(func=cmd_conj)
 
@@ -372,6 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_output(args: argparse.Namespace) -> bool:
+    return (
+        getattr(args, "json", False)
+        or getattr(args, "graph", None) == "json"
+        or getattr(args, "quotient", None) == "json"
+    )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -381,7 +428,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except _CliError as err:
-        print(err.message, file=sys.stderr)
+        if _json_output(args):
+            print(json.dumps(err.document()))
+        else:
+            print(err.message, file=sys.stderr)
         return err.code
 
 

@@ -113,9 +113,11 @@ def cycling(x: GarsideBraid) -> GarsideBraid:
     """c(x) = x^iota(x); identity operation on delta powers."""
     if not x.factors:
         return x
-    return braid_from_factors(
-        x.power, x.factors[1:] + (TAU_POWER[(-x.power) % 4][x.factors[0]],)
-    )
+    iota = TAU_POWER[(-x.power) % 4][x.factors[0]]
+    if LEFT_WEIGHTED[x.factors[-1]][iota]:
+        # x is rigid: the rotated factors are already in normal form.
+        return GarsideBraid(x.power, x.factors[1:] + (iota,))
+    return braid_from_factors(x.power, x.factors[1:] + (iota,))
 
 
 def decycling(x: GarsideBraid) -> GarsideBraid:

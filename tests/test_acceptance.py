@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from bkl4.circuits import compute_sc, minimal_arrows, orbit_partition, quotient_graph
+from bkl4.circuits import compute_sc, minimal_arrows, quotient_graph
 from bkl4.classical import classical_is_trivial
 from bkl4.engine import (
     GarsideBraid,
@@ -39,6 +39,7 @@ from bkl4.simples import (
 from bkl4.sliding import cyclic_sliding, final_factor, initial_factor, is_rigid
 from bkl4.solver import CONJUGATE, NOT_CONJUGATE, solve_conjugacy, verify_certificate
 from bkl4.words import beta_braid, to_artin_letters
+from reference_sc import reference_quotient, reference_sc
 
 # ---------------------------------------------------------------------------
 # Shared fixtures
@@ -216,7 +217,7 @@ def test_07_orbit_bound(random_sc_pool, beta_sc):
         if not sc.rigid:
             continue
         bound = 4 * sc.representative.canonical_length
-        for orbit in orbit_partition(sc):
+        for orbit in sc.orbits:
             assert orbit.size <= bound
         checked += 1
     assert checked >= 50
@@ -248,7 +249,7 @@ def test_08_mixed_weight_single_orbit():
         assert is_rigid(x)
         assert {weight(f) for f in x.factors} == {1, 2}
         sc = compute_sc(x)
-        assert len(orbit_partition(sc)) == 1
+        assert len(sc.orbits) == 1
         assert sc.size <= 4 * x.canonical_length
 
 
@@ -276,12 +277,17 @@ def _strict_prefix_arrows(y, rigid):
     ]
 
 
-def test_09_edge_case_family():
+def _edge_cases():
     rng = random.Random(9)
     cases = [(1, [k]) for k in (1, 2, 3)]
     for r in (4, 8, 12):
         for _ in range(16):
             cases.append((r, [rng.randrange(1, 3) for _ in range(r)]))
+    return cases
+
+
+def test_09_edge_case_family():
+    cases = _edge_cases()
     assert len(cases) >= 50
     for r, ks in cases:
         y = _edge_form(r, ks)
@@ -360,3 +366,21 @@ def test_12_quadratic_sc_bound(beta_sc):
         x, sc, _ = beta_sc[k]
         ell = x.canonical_length
         assert sc.size / (ell * ell) <= 4.5
+
+
+# ---------------------------------------------------------------------------
+# The orbit-at-a-time search against the per-element reference search, on the
+# pools of tests 1, 6-9 and 12: equal SC sets, orbits and quotient edges.
+
+
+def test_sc_search_matches_reference_on_acceptance_pools(random_sc_pool, beta_sc):
+    sets = [beta_sc[k][1] for k in range(1, 9)] + list(random_sc_pool)
+    sets += [compute_sc(x) for x in _mixed_weight_rigid_braids(100)]
+    sets += [compute_sc(_edge_form(r, ks)) for r, ks in _edge_cases()]
+    assert sum(not sc.rigid for sc in sets) >= 40
+    for sc in sets:
+        reference = reference_sc(sc.base)
+        assert set(sc.elements) == set(reference)
+        orbits, labels = reference_quotient(reference, sc.rigid)
+        assert [orbit.members for orbit in sc.orbits] == orbits
+        assert quotient_graph(sc).edge_labels == labels

@@ -5,14 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkl4.circuits import (
     CapExceededError,
     NotInCircuitError,
     compute_sc,
     minimal_arrows,
-    orbit_partition,
     quotient_graph,
+    resolve_cap,
 )
 from bkl4.engine import (
     GarsideBraid,
@@ -24,6 +26,7 @@ from bkl4.engine import (
 from bkl4.simples import ATOMS, Simple
 from bkl4.sliding import is_rigid, slide_to_circuit
 from bkl4.words import beta_braid
+from reference_sc import orbit_partition
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -68,7 +71,7 @@ def test_six_squares_sc_frozen():
     assert sc.rigid
     for element, z in sc.conjugators.items():
         assert conjugate(y, z) == element
-    orbits = orbit_partition(sc.conjugators)
+    orbits = sc.orbits
     assert [o.size for o in orbits] == [4, 2]
     assert orbits[0].representative == GarsideBraid(0, (S, S))
     assert orbits[1].representative == GarsideBraid(0, (M, M))
@@ -144,6 +147,22 @@ def test_cap_from_environment(monkeypatch):
     assert compute_sc(beta_braid(1)).size == 160
 
 
+def test_cap_must_be_a_nonnegative_integer(monkeypatch):
+    assert resolve_cap(0) == 0
+    with pytest.raises(ValueError, match="not -1"):
+        resolve_cap(-1)
+    for text in ("abc", "-2", "1.5"):
+        monkeypatch.setenv("B4_SC_CAP", text)
+        with pytest.raises(ValueError, match="B4_SC_CAP"):
+            compute_sc(beta_braid(1))
+    monkeypatch.delenv("B4_SC_CAP")
+    # A set of exactly `cap` elements fits; no set fits under a cap of 0.
+    assert compute_sc(GarsideBraid(0, (M, M)), cap=6).size == 6
+    assert compute_sc(GarsideBraid(2, ()), cap=1).size == 1
+    with pytest.raises(CapExceededError):
+        compute_sc(GarsideBraid(2, ()), cap=0)
+
+
 def test_stop_at_early_exit():
     y = GarsideBraid(0, (M, M))
     target = GarsideBraid(0, (W, W))
@@ -151,6 +170,8 @@ def test_stop_at_early_exit():
     assert target in sc
     assert not sc.complete
     assert conjugate(y, sc.conjugators[target]) == target
+    with pytest.raises(ValueError):
+        quotient_graph(sc)
 
 
 def test_arrows_are_arrows_and_minimal():
@@ -171,14 +192,60 @@ def test_arrows_are_arrows_and_minimal():
 
 def test_orbit_partition_is_a_partition():
     sc = compute_sc(beta_braid(1))
-    orbits = orbit_partition(sc.conjugators)
     seen: set[GarsideBraid] = set()
-    for orbit in orbits:
+    for orbit in sc.orbits:
         assert orbit.representative == orbit.members[0]
+        members = list(orbit.members)
+        assert members == sorted(members, key=lambda b: (b.power, b.factors))
         for member in orbit.members:
             assert member not in seen
             seen.add(member)
     assert seen == set(sc.elements)
+    assert [o.members for o in sc.orbits] == orbit_partition(sc.elements)
+
+
+def test_orbit_arrows_are_the_representative_arrows():
+    sc = compute_sc(beta_braid(2))
+    for orbit in sc.orbits:
+        rep = orbit.representative
+        assert [s for s, _ in orbit.arrows] == list(minimal_arrows(rep))
+        for s, target in orbit.arrows:
+            assert target == conjugate(rep, braid_from_factors(0, (s,)))
+            assert target in sc
+
+
+def test_conjugators_mapping_is_lazy_and_read_only():
+    y = beta_braid(1)
+    sc = compute_sc(y)
+    assert len(sc.conjugators) == sc.size == 160
+    assert next(iter(sc.conjugators)) == sc.representative
+    assert sc.conjugators.get(GarsideBraid(0, (M, M))) is None
+    with pytest.raises(KeyError):
+        sc.conjugators[GarsideBraid(0, (M, M))]
+    with pytest.raises(TypeError):
+        sc.conjugators[y] = y  # type: ignore[index]
+    # Read in any order, every entry conjugates the base to its element.
+    for element in reversed(sc.elements):
+        assert conjugate(y, sc.conjugators[element]) == element
+
+
+_braids = st.builds(
+    lambda seed, length, inf: random_braid(random.Random(seed), length, inf),
+    st.integers(0, 2**32),
+    st.integers(0, 6),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_braids, w=_braids)
+def test_sc_is_a_conjugacy_invariant_with_valid_conjugators(x, w):
+    sc = compute_sc(x)
+    conjugated = compute_sc(conjugate(x, w))
+    assert set(conjugated.elements) == set(sc.elements)
+    assert [o.members for o in conjugated.orbits] == [o.members for o in sc.orbits]
+    for element, z in conjugated.conjugators.items():
+        assert conjugate(conjugated.base, z) == element
 
 
 def test_sc_of_random_conjugates_matches_base():

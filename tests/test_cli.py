@@ -131,6 +131,49 @@ def test_sc_cap_exceeded(capsys):
     assert "cap exceeded" in err
 
 
+def test_sc_cap_exceeded_json(capsys):
+    for mode in (["--json"], ["--graph", "json"], ["--quotient", "json"]):
+        code, out, err = run(capsys, "sc", *mode, "--cap", "5", "a13^2")
+        assert code == 3
+        data = json.loads(out)
+        assert data["outcome"] == "inconclusive"
+        assert data["reason"] == "cap-exceeded"
+        assert "more than 5 elements" in data["message"]
+
+
+def test_cap_validation(capsys, monkeypatch):
+    for cap in ("-1", "abc"):
+        code, out, err = run(capsys, "sc", "--cap", cap, "a13^2")
+        assert (code, out) == (2, "")
+        assert err.strip() == f"--cap must be a non-negative integer, not {cap!r}"
+    monkeypatch.setenv("B4_SC_CAP", "abc")
+    for argv in (["sc", "a13^2"], ["conj", "a12^2", "a13^2"], ["bench", "--kmax", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.strip() == "B4_SC_CAP must be a non-negative integer, not 'abc'"
+    for argv in (["sc", "--json", "a13^2"], ["conj", "--json", "a12^2", "a13^2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {
+            "outcome": "error",
+            "reason": "usage",
+            "message": "B4_SC_CAP must be a non-negative integer, not 'abc'",
+        }
+    monkeypatch.delenv("B4_SC_CAP")
+    for cap in ("-1", "abc"):
+        code, out, err = run(capsys, "conj", "--json", "--cap", cap, "a12^2", "a13^2")
+        assert code == 2
+        assert json.loads(out)["reason"] == "usage"
+
+
+def test_parse_error_json(capsys):
+    code, out, err = run(capsys, "nf", "--json", "a12.a21")
+    assert code == 2
+    data = json.loads(out)
+    assert data["outcome"] == "error" and data["reason"] == "parse-error"
+    assert "position 4" in data["message"]
+
+
 def test_conj_conjugate(capsys):
     code, out, err = run(capsys, "conj", "a12", "a24")
     assert code == 0
@@ -169,6 +212,18 @@ def test_conj_cap_inconclusive(capsys):
     code, out, err = run(capsys, "conj", "--cap", "1", beta1, f"a13^-1.{beta1}.a13")
     assert code == 3
     assert "inconclusive (cap-exceeded)" in err
+
+
+def test_conj_cap_inconclusive_json(capsys):
+    beta1 = "a34.a23.a12.a13.a14.c124^3.a12^-3"
+    code, out, err = run(
+        capsys, "conj", "--json", "--cap", "1", beta1, f"a13^-1.{beta1}.a13"
+    )
+    assert code == 3
+    data = json.loads(out)
+    assert data["outcome"] == "inconclusive"
+    assert data["reason"] == "cap-exceeded"
+    assert data["len"] == 8
 
 
 def test_beta_command(capsys):
