@@ -4,14 +4,20 @@ quotient graph.
 
 SC(x) is the set of conjugates of x that lie on a circuit of cyclic sliding
 (the periodic points of s inside the conjugacy class); it is a finite,
-complete conjugacy-class invariant.  tau (conjugation by delta) and cycling
-act on it as bijections, and their orbits O(y) = {tau^k(c^l(y))} partition
-it.  This module computes SC(x) one orbit at a time, starting from the
-circuit representative of x:
+complete conjugacy-class invariant.  It lies in the ultra summit set, so all
+of its elements have the same power of delta and the same canonical length,
+and tau (conjugation by delta) and cycling permute it.  Their orbits
+O(y) = {tau^k(c^j(y))} partition it.  This module computes SC(x) one orbit at
+a time, starting from the circuit representative of x, and searches on plain
+factor tuples:
 
-  * Each newly found element seeds an orbit, which the search closes under
-    tau and cycling.  On a finite set, forward closure under two bijections
-    is the whole orbit, so decycling adds nothing.
+  * The set is one dict {factors: orbit} at the shared power.
+  * Each newly found element seeds an orbit.  Cycling is walked on the
+    seed's factors until it comes back to the seed; a step at a rigid
+    element rotates the factors, any other step renormalizes them.  tau
+    commutes with cycling, so the orbit is the walk and its twists by tau,
+    tau^2 and tau^3, and each twist is the walk of tau^k(seed): either one
+    already in the orbit or disjoint from it.
   * An *arrow* at y in SC(x) is a nontrivial simple s with y^s in SC(x); it is
     *minimal* when the only prefixes t of s with y^t in SC(x) are 1 and s.
     Minimal arrows are always prefixes of iota(y) or complement(phi(y)), so
@@ -21,20 +27,26 @@ circuit representative of x:
     conjugates, so membership testing degenerates to a rigidity check;
     otherwise a candidate is tested by running its sliding trajectory.
   * Arrows are tested once per orbit, at its canonical representative (the
-    member with the smallest (power, factors)).  Transports carry the arrows
-    of one member to the arrows of any other, so only the targets of the
-    representative's arrows seed new orbits.
+    member with the smallest factors).  Transports carry the arrows of one
+    member to the arrows of any other, so only the targets of the
+    representative's arrows seed new orbits.  A target with another power
+    than the set's is an error, not a new element.
 
-Every element keeps a parent pointer and the simple that conjugates its
-parent to it: delta for tau, the initial factor for cycling, the arrow
-otherwise.  `SCSet.conjugators` multiplies a conjugator from the base braid
-out of those links only when an entry is read, so the search doubles as a
-conjugacy-certificate finder (`stop_at`) without a multiplication per element.
+Conjugators are kept per orbit: the orbit's seed, the orbit whose
+representative leads to it and the arrow between them (the search start
+gets its conjugator from its sliding walk).  `SCSet.conjugators` builds the
+conjugator of a member when it is read: the seed's conjugator, times the
+initial factors of the first j cycling steps from the seed, times delta^k,
+for the smallest (j, k) with tau^k(c^j(seed)) the member.  So the search
+doubles as a conjugacy-certificate finder (`stop_at`), and a braid is built
+only for an element that is read.
 
 An arrow s at y is *useful* when y^s lies outside O(y).  The quotient graph
 has one vertex per orbit and, for each useful arrow of the orbit's
 representative, an unordered edge to the target orbit; it is read off the
-orbits and arrows the search records.
+orbits and arrows the search records.  `circuit_graph` gives the arrows at
+every element: tau is an automorphism of the simple lattice that preserves
+SC(x), so the arrows at tau^k(y) are the twists of the arrows at y.
 
 The search size is capped (default 10**6, overridable by the B4_SC_CAP
 environment variable or a `cap` argument); hitting the cap raises
@@ -52,6 +64,7 @@ from bkl4.engine import (
     GarsideBraid,
     braid_from_factors,
     conjugate,
+    multiply,
     tau_braid,
 )
 from bkl4.simples import (
@@ -63,7 +76,7 @@ from bkl4.simples import (
     Simple,
 )
 from bkl4.sliding import (
-    cycling,
+    _cycle_factors,
     final_factor,
     initial_factor,
     is_rigid,
@@ -81,9 +94,12 @@ __all__ = [
     "minimal_arrows",
     "compute_sc",
     "quotient_graph",
+    "circuit_graph",
 ]
 
 DEFAULT_CAP = 10**6
+
+Factors = tuple[Simple, ...]
 
 
 class CapExceededError(RuntimeError):
@@ -124,19 +140,41 @@ def _sort_key(s: Simple) -> tuple[int, int]:
     return (WEIGHT[s], int(s))
 
 
-def _braid_key(b: GarsideBraid) -> tuple[int, tuple[Simple, ...]]:
-    # Simple is an IntEnum, so factor tuples compare as tuples of indices.
-    return (b.power, b.factors)
-
-
 def _in_circuit(y: GarsideBraid, rigid_class: bool) -> bool:
     if rigid_class:
         return is_rigid(y)
     return slide_to_circuit(y).cycle_start == 0
 
 
-def _proper_divisors(s: Simple) -> Iterator[Simple]:
-    return (t for t in DIVISORS[s] if t not in (Simple.ONE, s))
+def _arrows(
+    y: GarsideBraid, rigid_class: bool
+) -> list[tuple[Simple, GarsideBraid]]:
+    """The minimal arrows at y, an element of SC(y), each with its target
+    y^s, sorted by (weight, canonical index)."""
+    if not y.factors:
+        # Delta powers: y^s = y iff tau^p(s) = s, and SC(y) = {y}.
+        twist = TAU_POWER[y.power % 4]
+        fixed = {s for s in (*PROPER_SIMPLES, Simple.DELTA) if twist[s] == s}
+        return [
+            (s, y)
+            for s in sorted(fixed, key=_sort_key)
+            if not any(t in fixed for t in DIVISORS[s] if t not in (Simple.ONE, s))
+        ]
+    candidates = sorted(
+        (DIVISORS[initial_factor(y)] | DIVISORS[COMPLEMENT[final_factor(y)]])
+        - {Simple.ONE},
+        key=_sort_key,
+    )
+    # Candidates are proper simples, and a proper divisor has a smaller
+    # weight, so it is tested first: a candidate above an arrow is skipped.
+    arrows: list[tuple[Simple, GarsideBraid]] = []
+    for s in candidates:
+        if any(a in DIVISORS[s] for a, _ in arrows):
+            continue
+        target = conjugate(y, GarsideBraid(0, (s,)))
+        if _in_circuit(target, rigid_class):
+            arrows.append((s, target))
+    return arrows
 
 
 def minimal_arrows(
@@ -148,109 +186,182 @@ def minimal_arrows(
     `known_rigid` skips the membership re-check when the caller already knows
     whether the class is rigid (as the SC search does).
     """
-    if not y.factors:
-        # Delta powers: y^s = y iff tau^p(s) = s, and SC(y) = {y}.
-        fixed = [
-            s
-            for s in (*PROPER_SIMPLES, Simple.DELTA)
-            if TAU_POWER[y.power % 4][s] == s
-        ]
-        fixed_set = set(fixed)
-        return tuple(
-            sorted(
-                (
-                    s
-                    for s in fixed
-                    if not any(t in fixed_set for t in _proper_divisors(s))
-                ),
-                key=_sort_key,
-            )
-        )
     if known_rigid is None:
-        rigid_class = is_rigid(y)
-        if not _in_circuit(y, rigid_class):
+        known_rigid = is_rigid(y)
+        if y.factors and not _in_circuit(y, known_rigid):
             raise NotInCircuitError(f"not in its sliding circuit set: {y!r}")
-    else:
-        rigid_class = known_rigid
-    candidates = sorted(
-        (DIVISORS[initial_factor(y)] | DIVISORS[COMPLEMENT[final_factor(y)]])
-        - {Simple.ONE},
-        key=_sort_key,
-    )
-    # Candidates are proper simples, and a proper divisor has a smaller
-    # weight, so it is tested first: a candidate above an arrow is skipped.
-    arrows: list[Simple] = []
-    for s in candidates:
-        if any(t in arrows for t in _proper_divisors(s)):
-            continue
-        if _in_circuit(conjugate(y, braid_from_factors(0, (s,))), rigid_class):
-            arrows.append(s)
-    return tuple(arrows)
+    return tuple(s for s, _ in _arrows(y, known_rigid))
 
 
-@dataclass(frozen=True, slots=True)
 class Orbit:
-    """One tau/cycling orbit inside an SC set, canonically ordered.
+    """One tau/cycling orbit inside an SC set.
 
-    `arrows` holds the minimal arrows at the representative, each with its
-    target element, in (weight, canonical index) order.
+    `members` lists its elements in canonical order (the representative
+    first); `arrows` holds the minimal arrows at the representative, each
+    with its target element, in (weight, canonical index) order.
     """
 
-    members: tuple[GarsideBraid, ...]
-    arrows: tuple[tuple[Simple, GarsideBraid], ...]
+    __slots__ = (
+        "arrows",
+        "_power",
+        "_factors",
+        "_walk",
+        "_least",
+        "_members",
+        "_parent",
+        "_arrow",
+        "_steps",
+        "_walk_conjugators",
+    )
+
+    def __init__(
+        self,
+        power: int,
+        seed: Factors,
+        parent: Orbit | None,
+        arrow: Simple,
+        seed_conjugator: GarsideBraid | None = None,
+    ) -> None:
+        self.arrows: tuple[tuple[Simple, GarsideBraid], ...] = ()
+        self._power = power
+        # The cycling walk from the seed, then the twists of it that are new.
+        self._factors = [seed]
+        self._walk = 1
+        self._least = seed
+        self._members: tuple[GarsideBraid, ...] | None = None
+        # The seed is parent.representative^arrow; without a parent it is the
+        # search start, whose conjugator is given.
+        self._parent = parent
+        self._arrow = arrow
+        self._steps: dict[Factors, tuple[int, int]] | None = None
+        # {j: conjugator of c^j(seed)} for the walk positions built so far.
+        self._walk_conjugators: dict[int, GarsideBraid] = {}
+        if seed_conjugator is not None:
+            self._walk_conjugators[0] = seed_conjugator
+
+    @property
+    def members(self) -> tuple[GarsideBraid, ...]:
+        if self._members is None:
+            p = self._power
+            self._members = tuple(GarsideBraid(p, f) for f in sorted(self._factors))
+        return self._members
 
     @property
     def representative(self) -> GarsideBraid:
-        return self.members[0]
+        return GarsideBraid(self._power, self._least)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self._factors)
 
-    def __contains__(self, y: GarsideBraid) -> bool:
-        return y in self.members
+    def __contains__(self, y: object) -> bool:
+        return (
+            isinstance(y, GarsideBraid)
+            and y.power == self._power
+            and y.factors in self._factors
+        )
 
+    def _close(self, index: dict[Factors, Orbit], cap: int) -> None:
+        """Find every member from the seed, which `index` already holds, and
+        add them to `index`; raise CapExceededError past `cap` elements.
 
-# element -> (parent element, simple conjugating the parent to it); the
-# search start has no parent.
-_Links = dict[GarsideBraid, tuple["GarsideBraid | None", Simple]]
+        SC lies in the ultra summit set, where cycling is periodic, so the
+        walk comes back to the seed.
+        """
+        walk = self._factors
+        seed = walk[0]
+        room = cap - len(index)
+        if seed:
+            extra, f = _cycle_factors(self._power, seed)
+            while f != seed:
+                if extra:
+                    raise RuntimeError(f"cycling left the super summit set: {f!r}")
+                if len(walk) > room:
+                    raise CapExceededError(cap)
+                walk.append(f)
+                extra, f = _cycle_factors(self._power, f)
+        self._walk = len(walk)
+        index.update(dict.fromkeys(walk, self))
+        for twist in TAU_POWER[1:]:
+            if tuple(map(twist.__getitem__, seed)) in index:
+                continue  # this twist of the walk is the walk of a member
+            if len(index) + self._walk > cap:
+                raise CapExceededError(cap)
+            twisted = [tuple(map(twist.__getitem__, f)) for f in walk[: self._walk]]
+            index.update(dict.fromkeys(twisted, self))
+            walk.extend(twisted)
+        self._least = min(walk)
+
+    def _conjugator(self, factors: Factors) -> GarsideBraid:
+        """z with base^z the member with these factors."""
+        if self._steps is None:
+            steps: dict[Factors, tuple[int, int]] = {}
+            for j, f in enumerate(self._factors[: self._walk]):
+                for k, twist in enumerate(TAU_POWER):
+                    steps.setdefault(tuple(map(twist.__getitem__, f)), (j, k))
+            self._steps = steps
+        j, k = self._steps[factors]
+        z = self._walk_conjugator(j)
+        return multiply(z, GarsideBraid(k)) if k else z
+
+    def _walk_conjugator(self, j: int) -> GarsideBraid:
+        """The conjugator of c^j(seed): the nearest one built at or before
+        position j times the initial factors of the steps in between (kept)."""
+        built = self._walk_conjugators
+        if not built:
+            # Build the seed conjugators down the chain of orbits from the
+            # nearest one that has it.
+            chain = []
+            orbit = self
+            while not orbit._walk_conjugators:
+                chain.append(orbit)
+                orbit = orbit._parent
+            for orbit in reversed(chain):
+                parent = orbit._parent
+                z = parent._conjugator(parent._least)
+                orbit._walk_conjugators[0] = braid_from_factors(
+                    z.power, z.factors + (orbit._arrow,)
+                )
+        i = max(i for i in built if i <= j)
+        z = built[i]
+        if i < j:
+            untwist = TAU_POWER[-self._power % 4]
+            iotas = tuple(untwist[f[0]] for f in self._factors[i:j])
+            z = built[j] = braid_from_factors(z.power, z.factors + iotas)
+        return z
 
 
 class _Conjugators(Mapping):
     """Read-only {element: z with base^z = element}, in search order.
 
-    An entry is built when it is read, from the nearest entry already built
-    (at first only the search start's): that conjugator times the edge
-    simples down the parent chain, normalized once.
+    An entry is built when it is read, from its orbit's record and the walk
+    conjugators the orbit keeps.
     """
 
-    __slots__ = ("_links", "_built")
+    __slots__ = ("_power", "_index")
 
-    def __init__(self, links: _Links, start: GarsideBraid, z: GarsideBraid) -> None:
-        self._links = links
-        self._built = {start: z}
+    def __init__(self, power: int, index: dict[Factors, Orbit]) -> None:
+        self._power = power
+        self._index = index
 
     def __getitem__(self, element: GarsideBraid) -> GarsideBraid:
-        built = self._built
-        path: list[Simple] = []
-        node = element
-        while node not in built:
-            node, edge = self._links[node]
-            path.append(edge)
-        z = built[node]
-        if path:
-            path.reverse()
-            z = built[element] = braid_from_factors(z.power, z.factors + tuple(path))
-        return z
+        if element not in self:
+            raise KeyError(element)
+        return self._index[element.factors]._conjugator(element.factors)
 
     def __contains__(self, element: object) -> bool:
-        return element in self._links
+        return (
+            isinstance(element, GarsideBraid)
+            and element.power == self._power
+            and element.factors in self._index
+        )
 
     def __iter__(self) -> Iterator[GarsideBraid]:
-        return iter(self._links)
+        p = self._power
+        return (GarsideBraid(p, f) for f in self._index)
 
     def __len__(self) -> int:
-        return len(self._links)
+        return len(self._index)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -261,7 +372,8 @@ class SCSet:
     iteration order of `conjugators` is the search order (representative
     first).  `orbits` lists the tau/cycling orbits sorted by representative.
     `complete` is False when the search stopped early at `stop_at`; `orbits`
-    then holds only the orbits closed by that point.
+    then holds only the orbits closed by that point, and an orbit whose
+    arrows were not tested yet has none.
     """
 
     base: GarsideBraid
@@ -269,7 +381,8 @@ class SCSet:
     conjugators: Mapping[GarsideBraid, GarsideBraid]
     rigid: bool
     orbits: tuple[Orbit, ...]
-    complete: bool = True
+    complete: bool
+    _orbit_of: dict[Factors, Orbit] = field(repr=False)
 
     @property
     def elements(self) -> tuple[GarsideBraid, ...]:
@@ -279,7 +392,7 @@ class SCSet:
     def size(self) -> int:
         return len(self.conjugators)
 
-    def __contains__(self, y: GarsideBraid) -> bool:
+    def __contains__(self, y: object) -> bool:
         return y in self.conjugators
 
     def __iter__(self) -> Iterator[GarsideBraid]:
@@ -294,76 +407,95 @@ def compute_sc(
 ) -> SCSet:
     """Compute SC(x) orbit by orbit from its circuit representative.
 
-    If `stop_at` is given, the search returns as soon as that element is
-    found, with `complete=False`.  Raises CapExceededError when the set would
-    exceed the cap.
+    If `stop_at` is given, the search returns with `complete=False` as soon
+    as that element is found: when it seeds an orbit, or else once its orbit
+    is closed.  Raises CapExceededError when the set would exceed the cap.
     """
     cap = resolve_cap(cap)
     if cap == 0:
         raise CapExceededError(cap)  # SC(x) is never empty
     entry = slide_to_circuit(x)
     start = entry.representative
+    power = start.power
     rigid_class = is_rigid(start)
-    links: _Links = {start: (None, Simple.ONE)}
-    orbits: list[Orbit] = []
+    stop = None
+    if stop_at is not None and stop_at.power == power:
+        stop = stop_at.factors
+    index: dict[Factors, Orbit] = {}
+    orbits: list[Orbit] = []  # closed orbits, in the order found
 
     def result(complete: bool) -> SCSet:
-        orbits.sort(key=lambda o: _braid_key(o.representative))
+        orbits.sort(key=lambda o: o._least)
         return SCSet(
             x,
             start,
-            _Conjugators(links, start, entry.accumulated_conjugator),
+            _Conjugators(power, index),
             rigid_class,
             tuple(orbits),
             complete,
+            index,
         )
 
-    def found(element: GarsideBraid, parent: GarsideBraid, edge: Simple) -> bool:
-        """Record a new element; True if it is the one searched for."""
-        if len(links) >= cap:
+    def found(orbit: Orbit) -> bool:
+        """Record the seed of a new orbit and close the orbit; True once
+        stop_at is found."""
+        if len(index) >= cap:
             raise CapExceededError(cap)
-        links[element] = (parent, edge)
-        return element == stop_at
+        seed = orbit._factors[0]
+        index[seed] = orbit
+        if seed == stop:
+            return True
+        orbit._close(index, cap)
+        orbits.append(orbit)
+        return stop is not None and stop in index
 
-    if start == stop_at:
+    if found(Orbit(power, start.factors, None, Simple.ONE, entry.accumulated_conjugator)):
         return result(False)
-    seeds = [start]
-    open_seeds = {start}  # seeds whose orbit is not closed yet
-    for seed in seeds:
-        if seed not in open_seeds:
-            continue  # absorbed by an orbit closed since it was found
-        open_seeds.remove(seed)
-        members = [seed]
-        for y in members:
-            if not y.factors:
-                break  # a delta power is fixed by tau and cycling
-            for neighbor, edge in (
-                (tau_braid(y), Simple.DELTA),
-                (cycling(y), initial_factor(y)),
-            ):
-                if neighbor in links:
-                    if neighbor in open_seeds:
-                        open_seeds.remove(neighbor)
-                        members.append(neighbor)
-                    continue
-                if found(neighbor, y, edge):
-                    return result(False)
-                members.append(neighbor)
-        members.sort(key=_braid_key)
-        rep = members[0]
-        arrows = tuple(
-            (s, conjugate(rep, braid_from_factors(0, (s,))))
-            for s in minimal_arrows(rep, known_rigid=rigid_class)
-        )
-        orbits.append(Orbit(tuple(members), arrows))
-        for s, target in arrows:
-            if target in links:
+    for orbit in orbits:  # grows while the search runs
+        rep = orbit.representative
+        orbit.arrows = tuple(_arrows(rep, rigid_class))
+        for s, target in orbit.arrows:
+            if target.power != power:
+                raise RuntimeError(
+                    f"arrow {s!r} at {rep!r} leaves the power of SC: {target!r}"
+                )
+            if target.factors in index:
                 continue
-            if found(target, rep, s):
+            if found(Orbit(power, target.factors, orbit, s)):
                 return result(False)
-            seeds.append(target)
-            open_seeds.add(target)
     return result(True)
+
+
+def circuit_graph(
+    sc: SCSet,
+) -> dict[GarsideBraid, tuple[tuple[Simple, GarsideBraid], ...]]:
+    """The sliding circuit graph of a complete SC set: every element, in
+    `sc.elements` order, with its minimal arrows and their targets, sorted
+    by (weight, canonical index).
+
+    Arrows are tested at one element of each tau class; tau is an
+    automorphism of the simple lattice that preserves SC, so the arrows at
+    tau^k(y) are the twists of those at y, re-sorted.  Raises ValueError on
+    a search stopped early.
+    """
+    if not sc.complete:
+        raise ValueError("the circuit graph needs a complete SC set")
+    elements = sc.elements
+    arrows_at: dict[GarsideBraid, tuple[tuple[Simple, GarsideBraid], ...]] = {}
+    for y in elements:
+        if y in arrows_at:
+            continue
+        arrows = _arrows(y, sc.rigid)
+        for k, twist in enumerate(TAU_POWER):
+            image = tau_braid(y, k)
+            if image not in arrows_at:
+                arrows_at[image] = tuple(
+                    sorted(
+                        ((twist[s], tau_braid(t, k)) for s, t in arrows),
+                        key=lambda arrow: _sort_key(arrow[0]),
+                    )
+                )
+    return {y: arrows_at[y] for y in elements}
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,17 +549,11 @@ def quotient_graph(sc: SCSet) -> QuotientGraph:
     orbits and arrows.  Raises ValueError on a search stopped early."""
     if not sc.complete:
         raise ValueError("the quotient graph needs a complete SC set")
-    targets = {target for orbit in sc.orbits for _, target in orbit.arrows}
-    index_of = {
-        member: i
-        for i, orbit in enumerate(sc.orbits)
-        for member in orbit.members
-        if member in targets
-    }
+    position = {orbit: i for i, orbit in enumerate(sc.orbits)}
     labels: dict[tuple[int, int], set[Simple]] = {}
     for i, orbit in enumerate(sc.orbits):
         for s, target in orbit.arrows:
-            j = index_of[target]
+            j = position[sc._orbit_of[target.factors]]
             if j == i:
                 continue  # not a useful arrow
             labels.setdefault((min(i, j), max(i, j)), set()).add(s)

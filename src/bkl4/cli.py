@@ -8,7 +8,7 @@ Subcommands
   sc WORD        sliding circuit set: --size (default), --graph dot|json,
                  or --quotient dot|json
   conj X Y       conjugacy decision; on success prints a certificate z with
-                 x = z^-1 . y . z (re-verified before printing)
+                 x = z^-1 . y . z (verified by the solver)
   beta K         the beta_k benchmark-family word
   bench          CSV scaling table over the beta family, slope on stderr
 
@@ -22,7 +22,8 @@ non-negative integer).
 
 All output is UTF-8 text.  `--json` (and `--graph json`, `--quotient json`)
 emits exactly one JSON document on stdout, failures included: a parse or
-usage error is {"outcome": "error", "reason": "parse-error" | "usage",
+usage error (argparse's included: an unknown flag, a missing argument, a
+bad choice) is {"outcome": "error", "reason": "parse-error" | "usage",
 "message": ...}, a search over the cap is {"outcome": "inconclusive",
 "reason": "cap-exceeded", ...}.  Graph output is graphviz-compatible DOT:
 vertices are labeled with compact normal forms, edges with the arrow names
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import random
@@ -43,8 +45,8 @@ from typing import Sequence
 from bkl4.circuits import (
     CapExceededError,
     SCSet,
+    circuit_graph,
     compute_sc,
-    minimal_arrows,
     quotient_graph,
     resolve_cap,
 )
@@ -57,7 +59,6 @@ from bkl4.solver import (
     NOT_CONJUGATE,
     is_periodic,
     solve_conjugacy,
-    verify_certificate,
 )
 from bkl4.words import ParseError, beta_braid, beta_word, format_braid, format_braid_compact, parse_braid
 
@@ -68,13 +69,15 @@ EXIT_CAP = 3
 
 
 class _CliError(Exception):
-    """Internal: an exit code, a reason for JSON output and a message."""
+    """Internal: an exit code, a reason for JSON output and a message, with
+    the usage text that goes before the message in text output."""
 
-    def __init__(self, code: int, reason: str, message: str) -> None:
+    def __init__(self, code: int, reason: str, message: str, usage: str = "") -> None:
         super().__init__(message)
         self.code = code
         self.reason = reason
         self.message = message
+        self.usage = usage
 
     def document(self) -> dict:
         outcome = "inconclusive" if self.code == EXIT_CAP else "error"
@@ -149,37 +152,39 @@ def cmd_nf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _graph(sc: SCSet) -> tuple[list[GarsideBraid], list[tuple[int, int, str]]]:
+    """The vertices of the sliding circuit graph, in element order, and its
+    edges as (source, target, arrow name)."""
+    graph = circuit_graph(sc)
+    index = {element: i for i, element in enumerate(graph)}
+    edges = [
+        (i, index[target], SIMPLE_NAMES[arrow])
+        for i, arrows in enumerate(graph.values())
+        for arrow, target in arrows
+    ]
+    return list(graph), edges
+
+
 def _dot_graph(sc: SCSet) -> str:
-    index = {element: i for i, element in enumerate(sc.elements)}
+    vertices, edges = _graph(sc)
     lines = ["digraph SCG {"]
-    for element, i in index.items():
+    for i, element in enumerate(vertices):
         lines.append(f'  n{i} [label="{format_braid_compact(element)}"];')
-    for element, i in index.items():
-        for arrow in minimal_arrows(element, known_rigid=sc.rigid):
-            target = conjugate(element, GarsideBraid(0, (arrow,)))
-            lines.append(
-                f'  n{i} -> n{index[target]} [label="{SIMPLE_NAMES[arrow]}"];'
-            )
+    for i, j, name in edges:
+        lines.append(f'  n{i} -> n{j} [label="{name}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
 def _json_graph(sc: SCSet) -> dict:
-    index = {element: i for i, element in enumerate(sc.elements)}
-    edges = []
-    for element, i in index.items():
-        for arrow in minimal_arrows(element, known_rigid=sc.rigid):
-            target = conjugate(element, GarsideBraid(0, (arrow,)))
-            edges.append(
-                {"source": i, "target": index[target], "label": SIMPLE_NAMES[arrow]}
-            )
+    vertices, edges = _graph(sc)
     return {
         "base": format_braid(sc.base),
         "representative": format_braid(sc.representative),
         "sc_size": sc.size,
         "rigid": sc.rigid,
-        "vertices": [format_braid(element) for element in sc.elements],
-        "edges": edges,
+        "vertices": [format_braid(element) for element in vertices],
+        "edges": [{"source": i, "target": j, "label": name} for i, j, name in edges],
         "conjugators": {
             format_braid(element): format_braid(z)
             for element, z in sc.conjugators.items()
@@ -246,10 +251,7 @@ def cmd_conj(args: argparse.Namespace) -> int:
     y = _parse(args.y)
     decision = solve_conjugacy(x, y, assume_pa=args.assume_pa, cap=_cap(args.cap))
     if decision.outcome == CONJUGATE:
-        certificate = decision.certificate
-        if not verify_certificate(certificate):
-            raise AssertionError("internal error: unverified certificate")
-        word = format_braid(certificate.z)
+        word = format_braid(decision.certificate.z)
         if args.json:
             print(
                 json.dumps(
@@ -362,8 +364,20 @@ def _kmax(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its errors as usage errors, so that
+    `main` reports them like every other failure."""
+
+    def error(self, message: str):
+        raise _CliError(
+            EXIT_USAGE, "usage", f"{self.prog}: error: {message}", self.format_usage()
+        )
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused."""
+    parser = _Parser(
         prog="bkl4",
         description="Dual Garside machinery and conjugacy solving for the "
         "4-strand braid group.",
@@ -411,27 +425,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_output(args: argparse.Namespace) -> bool:
-    return (
-        getattr(args, "json", False)
-        or getattr(args, "graph", None) == "json"
-        or getattr(args, "quotient", None) == "json"
-    )
+def _json_output(argv: Sequence[str]) -> bool:
+    """Whether argv asks for JSON output (`--json`, `--graph json` or
+    `--quotient json`, also as `--graph=json` or a prefix argparse accepts).
+    It is read from the words, as a usage error leaves no parsed arguments."""
+    for i, word in enumerate(argv):
+        if word == "--":
+            break
+        name, equals, value = word.partition("=")
+        if len(name) < 3 or not name.startswith("--"):
+            continue
+        if not equals:
+            if "--json".startswith(name):
+                return True
+            value = argv[i + 1] if i + 1 < len(argv) else ""
+        if value == "json" and (
+            "--graph".startswith(name) or "--quotient".startswith(name)
+        ):
+            return True
+    return False
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except _CliError as err:
-        if _json_output(args):
+        if _json_output(argv):
             print(json.dumps(err.document()))
         else:
-            print(err.message, file=sys.stderr)
+            print(err.usage + err.message, file=sys.stderr)
         return err.code
 
 

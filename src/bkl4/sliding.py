@@ -44,6 +44,7 @@ from bkl4.engine import (
     conjugate,
     invert,
     multiply,
+    normalize_factors,
 )
 from bkl4.simples import (
     COMPLEMENT,
@@ -109,15 +110,24 @@ def preferred_prefix(x: GarsideBraid) -> Simple:
     return MEET[initial_factor(x)][COMPLEMENT[x.factors[-1]]]
 
 
+def _cycle_factors(
+    power: int, factors: tuple[Simple, ...]
+) -> tuple[int, tuple[Simple, ...]]:
+    """c(x) for x = delta^power . factors (at least one factor), as the delta
+    count it gains and its factors.  The SC search walks cycling with it."""
+    iota = TAU_POWER[-power % 4][factors[0]]
+    if LEFT_WEIGHTED[factors[-1]][iota]:
+        # x is rigid: the rotated factors are already in normal form.
+        return 0, factors[1:] + (iota,)
+    return normalize_factors(factors[1:] + (iota,))
+
+
 def cycling(x: GarsideBraid) -> GarsideBraid:
     """c(x) = x^iota(x); identity operation on delta powers."""
     if not x.factors:
         return x
-    iota = TAU_POWER[(-x.power) % 4][x.factors[0]]
-    if LEFT_WEIGHTED[x.factors[-1]][iota]:
-        # x is rigid: the rotated factors are already in normal form.
-        return GarsideBraid(x.power, x.factors[1:] + (iota,))
-    return braid_from_factors(x.power, x.factors[1:] + (iota,))
+    extra, factors = _cycle_factors(x.power, x.factors)
+    return GarsideBraid(x.power + extra, factors)
 
 
 def decycling(x: GarsideBraid) -> GarsideBraid:

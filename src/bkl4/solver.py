@@ -108,9 +108,10 @@ def _conjugate_decision(
 
 def is_periodic(x: GarsideBraid) -> bool:
     """Whether x is periodic: x^3 or x^4 is a power of delta."""
-    return (
-        power(x, 3).canonical_length == 0 or power(x, 4).canonical_length == 0
-    )
+    square = multiply(x, x)
+    if multiply(square, x).canonical_length == 0:
+        return True
+    return multiply(square, square).canonical_length == 0
 
 
 def power_to_rigid(

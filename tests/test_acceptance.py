@@ -377,6 +377,9 @@ def test_sc_search_matches_reference_on_acceptance_pools(random_sc_pool, beta_sc
     sets = [beta_sc[k][1] for k in range(1, 9)] + list(random_sc_pool)
     sets += [compute_sc(x) for x in _mixed_weight_rigid_braids(100)]
     sets += [compute_sc(_edge_form(r, ks)) for r, ks in _edge_cases()]
+    sets += [compute_sc(GarsideBraid(p)) for p in range(-3, 5)]
+    # A cap equal to |SC| admits the whole set.
+    sets += [compute_sc(sc.base, cap=sc.size) for sc in sets[:8] + sets[-20:]]
     assert sum(not sc.rigid for sc in sets) >= 40
     for sc in sets:
         reference = reference_sc(sc.base)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bkl4 import circuits
 from bkl4.circuits import (
     CapExceededError,
     NotInCircuitError,
+    circuit_graph,
     compute_sc,
     minimal_arrows,
     quotient_graph,
@@ -161,6 +163,12 @@ def test_cap_must_be_a_nonnegative_integer(monkeypatch):
     assert compute_sc(GarsideBraid(2, ()), cap=1).size == 1
     with pytest.raises(CapExceededError):
         compute_sc(GarsideBraid(2, ()), cap=0)
+    # SC(d . a13 . a13) is one cycling walk with no new tau-twists: the cap
+    # bounds the walk itself.
+    walk_only = GarsideBraid(1, (M, M))
+    assert compute_sc(walk_only, cap=4).size == 4
+    with pytest.raises(CapExceededError):
+        compute_sc(walk_only, cap=3)
 
 
 def test_stop_at_early_exit():
@@ -172,6 +180,12 @@ def test_stop_at_early_exit():
     assert conjugate(y, sc.conjugators[target]) == target
     with pytest.raises(ValueError):
         quotient_graph(sc)
+    # A target that seeds no orbit stops the search once its orbit is closed.
+    inner = GarsideBraid(0, (A, A))
+    sc = compute_sc(y, stop_at=inner)
+    assert not sc.complete
+    assert [o.size for o in sc.orbits] == [2] and sc.size == 2
+    assert conjugate(y, sc.conjugators[inner]) == inner
 
 
 def test_arrows_are_arrows_and_minimal():
@@ -227,6 +241,56 @@ def test_conjugators_mapping_is_lazy_and_read_only():
     # Read in any order, every entry conjugates the base to its element.
     for element in reversed(sc.elements):
         assert conjugate(y, sc.conjugators[element]) == element
+    # Membership needs the set's power as well as a member's factors.
+    member = sc.orbits[0].representative
+    shifted = GarsideBraid(member.power + 1, member.factors)
+    assert member in sc and member in sc.orbits[0]
+    assert shifted not in sc and shifted not in sc.conjugators
+    assert shifted not in sc.orbits[0]
+    with pytest.raises(KeyError):
+        sc.conjugators[shifted]
+
+
+def test_arrow_target_with_another_power_is_an_error(monkeypatch):
+    # An arrow never changes the power inside SC; if one did, the search
+    # must stop rather than take the target for a new element.
+    real = circuits._arrows
+
+    def shifted(y, rigid_class):
+        return [(s, GarsideBraid(t.power + 1, t.factors)) for s, t in real(y, rigid_class)]
+
+    monkeypatch.setattr(circuits, "_arrows", shifted)
+    with pytest.raises(RuntimeError, match="power"):
+        compute_sc(beta_braid(1))
+
+
+def _non_rigid_classes(count: int, seed: int) -> list[GarsideBraid]:
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        x = random_braid(rng, rng.randrange(2, 8), rng.randrange(-2, 3))
+        if not compute_sc(x).rigid:
+            found.append(x)
+    return found
+
+
+def test_circuit_graph_matches_per_element_arrows():
+    # The graph twists the arrows of one element of each tau class; every
+    # vertex must still get exactly its own minimal arrows and targets.
+    bases = [beta_braid(k) for k in (1, 2, 3)] + _non_rigid_classes(50, 5)
+    for x in bases:
+        sc = compute_sc(x)
+        graph = circuit_graph(sc)
+        assert list(graph) == list(sc.elements)
+        for y, arrows in graph.items():
+            expected = minimal_arrows(y, known_rigid=sc.rigid)
+            assert tuple(s for s, _ in arrows) == expected
+            for s, target in arrows:
+                assert target == conjugate(y, GarsideBraid(0, (s,)))
+                assert target in sc
+    partial = compute_sc(GarsideBraid(0, (M, M)), stop_at=GarsideBraid(0, (W, W)))
+    with pytest.raises(ValueError):
+        circuit_graph(partial)
 
 
 _braids = st.builds(

@@ -270,3 +270,47 @@ def test_help_and_bad_subcommand(capsys):
     assert "nf" in out and "conj" in out
     code, out, err = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_argparse_errors_json(capsys):
+    # Errors argparse finds itself, before any command runs, still print one
+    # JSON document when JSON output was asked for.
+    cases = [
+        (["sc", "--json", "--bogus", "a13^2"], "unrecognized arguments: --bogus"),
+        (["sc", "--quotient", "json"], "the following arguments are required: word"),
+        (["sc", "--graph=json", "--quotient", "xml", "a13^2"], "invalid choice: 'xml'"),
+        (["conj", "--json", "a12"], "the following arguments are required: y"),
+        (["conj", "--json", "--bogus", "a12", "a24"], "unrecognized arguments: --bogus"),
+        (["nf", "--json"], "the following arguments are required: word"),
+        (["nf", "--js", "a12", "a13"], "unrecognized arguments: a13"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        data = json.loads(out)
+        assert data["outcome"] == "error" and data["reason"] == "usage"
+        assert message in data["message"]
+        assert err == ""
+    # Without JSON output, argparse's usage text and message go to stderr.
+    code, out, err = run(capsys, "sc", "--bogus", "a13^2")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: bkl4")
+    assert err.endswith("bkl4: error: unrecognized arguments: --bogus\n")
+
+
+def test_parser_is_reused_across_calls(capsys):
+    import bkl4.cli
+
+    calls = [
+        ["nf", "--json", "a13^2"],
+        ["sc", "--quotient", "json", "a13^2"],
+        ["conj", "a12", "a24"],
+        ["sc", "--bogus", "a13^2"],
+        ["nf", "a12.a23"],
+    ]
+    fresh = []
+    for argv in calls:
+        bkl4.cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert bkl4.cli._parser() is bkl4.cli._parser()
