@@ -40,18 +40,7 @@ from bkl4.simples import (
     PROPER_SIMPLES,
     SIMPLE_NAMES,
     Simple,
-    complement,
-    compose_simple,
-    divisors,
-    left_weighted,
-    meet,
-    name_of,
     self_check,
-    simple_from_name,
-    tau,
-    tau_inv,
-    tau_power,
-    weight,
 )
 from bkl4.sliding import (
     DeltaPowerError,
@@ -66,8 +55,6 @@ from bkl4.sliding import (
     is_rigid,
     preferred_prefix,
     slide_to_circuit,
-    slide_to_sss,
-    transport,
 )
 from bkl4.solver import (
     CONJUGATE,
@@ -97,18 +84,7 @@ __all__ = [
     "PROPER_SIMPLES",
     "SIMPLE_NAMES",
     "Simple",
-    "complement",
-    "compose_simple",
-    "divisors",
-    "left_weighted",
-    "meet",
-    "name_of",
     "self_check",
-    "simple_from_name",
-    "tau",
-    "tau_inv",
-    "tau_power",
-    "weight",
     # engine
     "IDENTITY",
     "GarsideBraid",
@@ -145,8 +121,6 @@ __all__ = [
     "is_rigid",
     "preferred_prefix",
     "slide_to_circuit",
-    "slide_to_sss",
-    "transport",
     # circuits
     "CapExceededError",
     "NotInCircuitError",

@@ -27,8 +27,8 @@ factor tuples:
     conjugates, so membership testing degenerates to a rigidity check;
     otherwise a candidate is tested by running its sliding trajectory.
   * Arrows are tested once per orbit, at its canonical representative (the
-    member with the smallest factors).  Transports carry the arrows of one
-    member to the arrows of any other, so only the targets of the
+    member with the smallest factors).  Cycling and tau carry the arrows of
+    one member to the arrows of any other, so only the targets of the
     representative's arrows seed new orbits.  A target with another power
     than the set's is an error, not a new element.
 
@@ -177,20 +177,15 @@ def _arrows(
     return arrows
 
 
-def minimal_arrows(
-    y: GarsideBraid, *, known_rigid: bool | None = None
-) -> tuple[Simple, ...]:
+def minimal_arrows(y: GarsideBraid) -> tuple[Simple, ...]:
     """The minimal arrows at y, sorted by (weight, canonical index).
 
     Raises NotInCircuitError if y is not in its own sliding circuit set.
-    `known_rigid` skips the membership re-check when the caller already knows
-    whether the class is rigid (as the SC search does).
     """
-    if known_rigid is None:
-        known_rigid = is_rigid(y)
-        if y.factors and not _in_circuit(y, known_rigid):
-            raise NotInCircuitError(f"not in its sliding circuit set: {y!r}")
-    return tuple(s for s, _ in _arrows(y, known_rigid))
+    rigid = is_rigid(y)
+    if y.factors and not _in_circuit(y, rigid):
+        raise NotInCircuitError(f"not in its sliding circuit set: {y!r}")
+    return tuple(s for s, _ in _arrows(y, rigid))
 
 
 class Orbit:

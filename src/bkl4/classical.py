@@ -40,7 +40,6 @@ __all__ = [
     "ClassicalNF",
     "classical_normalize",
     "classical_is_trivial",
-    "classical_word_length",
 ]
 
 Perm = tuple[int, int, int, int]
@@ -174,16 +173,6 @@ def classical_normalize(letters: Iterable[int]) -> ClassicalNF:
 def classical_is_trivial(letters: Iterable[int]) -> bool:
     """Whether the signed Artin word represents the identity braid."""
     return classical_normalize(letters).is_trivial()
-
-
-def classical_word_length(nf: ClassicalNF) -> int:
-    """Geodesic length of the normal form over simples and inverse simples."""
-    p, r = nf.power, len(nf.perms)
-    if p >= 0:
-        return p + r
-    if -p <= r:
-        return r
-    return -p
 
 
 def _self_check() -> None:

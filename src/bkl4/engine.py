@@ -32,13 +32,14 @@ x = delta^p . x1 ... xr,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from bkl4.simples import (
     COMPLEMENT,
     FOLLOWS,
     PROPER_SIMPLES,
     RENORM,
+    SIMPLE_NAMES,
     TAU_POWER,
     WEIGHT,
     Simple,
@@ -84,9 +85,7 @@ class GarsideBraid:
         return self.power == 0 and not self.factors
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        from bkl4.simples import name_of
-
-        body = " . ".join(name_of(f) for f in self.factors) or "1"
+        body = " . ".join(SIMPLE_NAMES[f] for f in self.factors) or "1"
         return f"GarsideBraid(d^{self.power} . {body})"
 
 
@@ -262,17 +261,3 @@ def random_braid(rng, canonical_length: int, inf: int = 0) -> GarsideBraid:
         fs.append(rng.choice(FOLLOWS[fs[-1]]))
     return GarsideBraid(inf, tuple(fs))
 
-
-def iter_normal_factor_tuples(length: int) -> Iterator[tuple[Simple, ...]]:
-    """Yield every left-weighted proper factor tuple of the given length."""
-    if length == 0:
-        yield ()
-        return
-    stack: list[tuple[Simple, ...]] = [(f,) for f in reversed(PROPER_SIMPLES)]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == length:
-            yield prefix
-            continue
-        for nxt in reversed(FOLLOWS[prefix[-1]]):
-            stack.append(prefix + (nxt,))

@@ -25,14 +25,30 @@ divisors of delta -- the simple elements -- are exactly
 All relations are length-preserving, so the letter count of a positive word is
 an invariant, the weight: lambda(atom) = 1, lambda(delta) = 3.
 
-Everything this module exports is a precomputed table over those 14 values.
+Everything this module exports is a precomputed table over those 14 values,
+indexed by `Simple` (an IntEnum):
+
+    SIMPLE_NAMES[s]      the canonical name: '1', 'a12', ..., 'delta'
+    SPELLING[s]          the canonical atom word of s, of length WEIGHT[s]
+    WEIGHT[s]            lambda(s): 0, 1 (atoms), 2 (triangles, pairs), 3
+    COMPLEMENT[s]        the right complement s^-1 delta
+    TAU_POWER[k][s]      tau^k(s) for k = 0..3 (index with k % 4)
+    DIVISORS[s]          the left divisors (prefixes) of s
+    MEET[a][b]           the greatest common divisor of a and b
+    COMPOSE[a][b]        a*b if the product is simple, else None
+    LQUOT[t][v]          t^-1 v if t divides v, else None
+    LEFT_WEIGHTED[a][b]  whether a.b is left-weighted: MEET[COMPLEMENT[a]][b] = 1
+    RENORM[u][v]         one local sliding step on (u, v); see `_bootstrap`
+    IS_NORMAL[u][v]      whether (u, v) is a fixed point of RENORM
+    FOLLOWS[u]           the proper v with u.v normal (all 12 after delta)
+
 The tables are bootstrapped at import time by closing positive words of length
 <= 3 under the relation cells (exhaustive and exact at this size), and a
-startup self-check asserts the structural invariants: complement(complement) =
-tau, tau**4 = id, weight(s) + weight(complement(s)) = 3, s * complement(s) =
-delta, the lattice laws for meet, and the weight-2 normality criterion
-(a of weight 2: a.b is left-weighted exactly when complement(a) does not
-divide b).
+startup self-check tests the structural invariants with explicit raises (so
+`python -O` keeps it): complement(complement) = tau, tau**4 = id, weight(s) +
+weight(complement(s)) = 3, s * complement(s) = delta, the lattice laws for
+meet, and the weight-2 normality criterion (a of weight 2: a.b is
+left-weighted exactly when complement(a) does not divide b).
 
 Conventions fixed here and used by every other module:
   * words compose left to right;
@@ -51,22 +67,18 @@ __all__ = [
     "SIMPLE_NAMES",
     "ATOMS",
     "PROPER_SIMPLES",
-    "simple_from_name",
-    "name_of",
-    "weight",
-    "atom_spelling",
-    "complement",
-    "tau",
-    "tau_inv",
-    "tau_power",
-    "divisors",
-    "meet",
-    "compose_simple",
-    "lquot",
-    "left_weighted",
-    "renorm_pair",
-    "is_pair_normal",
-    "follows",
+    "SPELLING",
+    "WEIGHT",
+    "COMPLEMENT",
+    "TAU_POWER",
+    "DIVISORS",
+    "MEET",
+    "COMPOSE",
+    "LQUOT",
+    "LEFT_WEIGHTED",
+    "RENORM",
+    "IS_NORMAL",
+    "FOLLOWS",
     "self_check",
 ]
 
@@ -106,8 +118,6 @@ SIMPLE_NAMES: tuple[str, ...] = (
     "p14-23",
     "delta",
 )
-
-_NAME_TO_SIMPLE = {name: Simple(i) for i, name in enumerate(SIMPLE_NAMES)}
 
 ATOMS: tuple[Simple, ...] = (
     Simple.A12,
@@ -154,19 +164,6 @@ _RELATION_CELLS: dict[Simple, tuple[tuple[Simple, Simple], ...]] = {
 _DELTA_WORD: tuple[Simple, ...] = (_S, _W, _N)  # delta = a12.a23.a34
 
 
-def simple_from_name(name: str) -> Simple:
-    """Return the simple with the given canonical name ('1', 'a12', ..., 'delta')."""
-    try:
-        return _NAME_TO_SIMPLE[name]
-    except KeyError:
-        raise ValueError(f"unknown simple element name {name!r}") from None
-
-
-def name_of(s: Simple) -> str:
-    """Return the canonical name of a simple."""
-    return SIMPLE_NAMES[s]
-
-
 # ---------------------------------------------------------------------------
 # Bootstrap: close atom words of length <= 3 under the relation cells, then
 # read every table off the resulting word classes.
@@ -207,8 +204,10 @@ def _bootstrap() -> dict[str, tuple]:
     # Distinct simples must have disjoint word classes (they are distinct
     # elements of the monoid); delta has exactly 16 spellings.
     for a, b in itertools.combinations(Simple, 2):
-        assert word_class[a].isdisjoint(word_class[b]), (a, b)
-    assert len(word_class[Simple.DELTA]) == 16
+        if not word_class[a].isdisjoint(word_class[b]):
+            raise RuntimeError(f"{a!r} and {b!r} share a spelling")
+    if len(word_class[Simple.DELTA]) != 16:
+        raise RuntimeError("delta does not have 16 spellings")
 
     weight_table = tuple(len(defining_word[s]) for s in Simple)
 
@@ -237,33 +236,34 @@ def _bootstrap() -> dict[str, tuple]:
             )
         }
         divisors_table.append(frozenset(divs))
-    assert divisors_table[Simple.DELTA] == frozenset(Simple)
+    if divisors_table[Simple.DELTA] != frozenset(Simple):
+        raise RuntimeError("some simple does not divide delta")
 
     meet_table: list[list[Simple]] = [[Simple.ONE] * 14 for _ in range(14)]
     for a, b in itertools.product(Simple, Simple):
         common = divisors_table[a] & divisors_table[b]
         top_weight = max(weight_table[t] for t in common)
         tops = [t for t in common if weight_table[t] == top_weight]
-        assert len(tops) == 1, f"meet({a}, {b}) is not unique: {tops}"
+        if len(tops) != 1:
+            raise RuntimeError(f"meet({a!r}, {b!r}) is not unique: {tops}")
         meet_table[a][b] = tops[0]
 
     complement_table: list[Simple] = []
     for s in Simple:
         comps = [t for t in Simple if compose[s][t] == Simple.DELTA]
-        assert len(comps) == 1, f"complement({s}) is not unique: {comps}"
+        if len(comps) != 1:
+            raise RuntimeError(f"complement({s!r}) is not unique: {comps}")
         complement_table.append(comps[0])
 
     tau_table = tuple(complement_table[complement_table[s]] for s in Simple)
-    tau_inv_table = [Simple.ONE] * 14
-    for s in Simple:
-        tau_inv_table[tau_table[s]] = s
 
     lquot_table: list[list[Simple | None]] = [[None] * 14 for _ in range(14)]
     for t, v in itertools.product(Simple, Simple):
         if t not in divisors_table[v]:
             continue
         quotients = [u for u in Simple if compose[t][u] == v]
-        assert len(quotients) == 1, f"lquot({t}, {v}) is not unique: {quotients}"
+        if len(quotients) != 1:
+            raise RuntimeError(f"lquot({t!r}, {v!r}) is not unique: {quotients}")
         lquot_table[t][v] = quotients[0]
 
     left_weighted_table = tuple(
@@ -283,7 +283,8 @@ def _bootstrap() -> dict[str, tuple]:
             t = meet_table[complement_table[u]][v]
             grown = compose[u][t]
             rest = lquot_table[t][v]
-            assert grown is not None and rest is not None
+            if grown is None or rest is None:
+                raise RuntimeError(f"renormalizing ({u!r}, {v!r}) leaves the simples")
             row.append((grown, rest))
         renorm_table.append(row)
 
@@ -308,8 +309,6 @@ def _bootstrap() -> dict[str, tuple]:
         "SPELLING": tuple(defining_word[s] for s in Simple),
         "WEIGHT": tuple(weight_table),
         "COMPLEMENT": tuple(complement_table),
-        "TAU": tuple(tau_table),
-        "TAU_INV": tuple(tau_inv_table),
         "TAU_POWER": tuple(tuple(row) for row in tau_power_table),
         "DIVISORS": tuple(divisors_table),
         "MEET": tuple(tuple(row) for row in meet_table),
@@ -327,8 +326,6 @@ _TABLES = _bootstrap()
 SPELLING: tuple[tuple[Simple, ...], ...] = _TABLES["SPELLING"]
 WEIGHT: tuple[int, ...] = _TABLES["WEIGHT"]
 COMPLEMENT: tuple[Simple, ...] = _TABLES["COMPLEMENT"]
-TAU: tuple[Simple, ...] = _TABLES["TAU"]
-TAU_INV: tuple[Simple, ...] = _TABLES["TAU_INV"]
 TAU_POWER: tuple[tuple[Simple, ...], ...] = _TABLES["TAU_POWER"]
 DIVISORS: tuple[frozenset[Simple], ...] = _TABLES["DIVISORS"]
 MEET: tuple[tuple[Simple, ...], ...] = _TABLES["MEET"]
@@ -343,134 +340,69 @@ del _TABLES
 
 
 # ---------------------------------------------------------------------------
-# Table accessors.
-# ---------------------------------------------------------------------------
-
-
-def weight(s: Simple) -> int:
-    """The weight lambda(s): 0 for 1, 1 for atoms, 2 for pairs/triangles, 3 for delta."""
-    return WEIGHT[s]
-
-
-def atom_spelling(s: Simple) -> tuple[Simple, ...]:
-    """The canonical positive atom word spelling s (length = weight(s))."""
-    return SPELLING[s]
-
-
-def complement(s: Simple) -> Simple:
-    """The right complement s^-1 delta; satisfies s * complement(s) = delta."""
-    return COMPLEMENT[s]
-
-
-def tau(s: Simple) -> Simple:
-    """tau(s) = delta^-1 s delta. Equals complement(complement(s)); order 4."""
-    return TAU[s]
-
-
-def tau_inv(s: Simple) -> Simple:
-    """The inverse of tau: tau_inv(s) = delta s delta^-1."""
-    return TAU_INV[s]
-
-
-def tau_power(s: Simple, k: int) -> Simple:
-    """tau applied k times (any integer k; tau has order 4)."""
-    return TAU_POWER[k % 4][s]
-
-
-def divisors(s: Simple) -> frozenset[Simple]:
-    """All simples t with t a prefix (left divisor) of s."""
-    return DIVISORS[s]
-
-
-def meet(a: Simple, b: Simple) -> Simple:
-    """The greatest common divisor a ^ b within the simple lattice."""
-    return MEET[a][b]
-
-
-def compose_simple(a: Simple, b: Simple) -> Simple | None:
-    """The simple a*b if the product is simple (b divides complement(a)), else None."""
-    return COMPOSE[a][b]
-
-
-def lquot(t: Simple, v: Simple) -> Simple | None:
-    """The left quotient t^-1 v if t divides v, else None."""
-    return LQUOT[t][v]
-
-
-def left_weighted(a: Simple, b: Simple) -> bool:
-    """Whether the pair a.b is left-weighted: meet(complement(a), b) = 1."""
-    return LEFT_WEIGHTED[a][b]
-
-
-def renorm_pair(u: Simple, v: Simple) -> tuple[Simple, Simple]:
-    """One local sliding step on the pair (u, v); fixed points are normal pairs."""
-    return RENORM[u][v]
-
-
-def is_pair_normal(u: Simple, v: Simple) -> bool:
-    """Whether (u, v) is a fixed point of renorm_pair."""
-    return IS_NORMAL[u][v]
-
-
-def follows(u: Simple) -> tuple[Simple, ...]:
-    """Proper simples v such that u.v is normal (u = delta allows all 12)."""
-    return FOLLOWS[u]
-
-
-# ---------------------------------------------------------------------------
 # Startup self-check.
 # ---------------------------------------------------------------------------
 
+# The expected tau cycles: a quarter turn of the square.
+_TAU_CYCLES = (
+    (_S, _E, _N, _W), (_M, _A), _WEIGHT2[:4], _WEIGHT2[4:], (Simple.ONE,), (Simple.DELTA,)
+)
+
 
 def self_check() -> None:
-    """Assert the structural invariants of the tables; raises AssertionError."""
-    for s in Simple:
-        assert complement(complement(s)) == tau(s)
-        assert tau_power(s, 4) == s
-        assert tau_inv(tau(s)) == s
-        assert weight(s) + weight(complement(s)) == 3
-        assert compose_simple(s, complement(s)) == Simple.DELTA
-        assert weight(tau(s)) == weight(s)
-        assert meet(s, Simple.DELTA) == s
-        assert meet(s, s) == s
-
-    # Expected tau cycles: (a12 a14 a34 a23), (a13 a24), (c123 c124 c134 c234),
-    # (p12-34 p14-23); 1 and delta are fixed.
-    assert tau(Simple.A12) == Simple.A14
-    assert tau(Simple.A14) == Simple.A34
-    assert tau(Simple.A34) == Simple.A23
-    assert tau(Simple.A23) == Simple.A12
-    assert tau(Simple.A13) == Simple.A24
-    assert tau(Simple.A24) == Simple.A13
-    assert tau(Simple.C123) == Simple.C124
-    assert tau(Simple.C124) == Simple.C134
-    assert tau(Simple.C134) == Simple.C234
-    assert tau(Simple.C234) == Simple.C123
-    assert tau(Simple.P12_34) == Simple.P14_23
-    assert tau(Simple.ONE) == Simple.ONE
-    assert tau(Simple.DELTA) == Simple.DELTA
-
-    for a, b in itertools.product(Simple, Simple):
+    """Check the structural invariants of the tables; raises RuntimeError
+    naming every law that fails."""
+    tau = TAU_POWER[1]
+    pairs = tuple(itertools.product(Simple, Simple))
+    laws = {
+        "complement(complement(s)) = tau(s)": all(
+            COMPLEMENT[COMPLEMENT[s]] == tau[s] for s in Simple
+        ),
+        "tau^4 = 1": all(tau[TAU_POWER[3][s]] == s for s in Simple),
+        "weight(s) + weight(complement(s)) = 3": all(
+            WEIGHT[s] + WEIGHT[COMPLEMENT[s]] == 3 for s in Simple
+        ),
+        "s * complement(s) = delta": all(
+            COMPOSE[s][COMPLEMENT[s]] == Simple.DELTA for s in Simple
+        ),
+        "weight(tau(s)) = weight(s)": all(WEIGHT[tau[s]] == WEIGHT[s] for s in Simple),
+        "meet(s, delta) = meet(s, s) = s": all(
+            MEET[s][Simple.DELTA] == s and MEET[s][s] == s for s in Simple
+        ),
+        "tau cycles": all(
+            tau[c[i]] == c[(i + 1) % len(c)] for c in _TAU_CYCLES for i in range(len(c))
+        ),
         # meet is a gcd: it divides both, and every common divisor divides it.
-        m = meet(a, b)
-        assert m in divisors(a) and m in divisors(b)
-        for t in divisors(a) & divisors(b):
-            assert t in divisors(m)
-        assert meet(a, b) == meet(b, a)
-        # tau is a lattice automorphism.
-        assert tau(meet(a, b)) == meet(tau(a), tau(b))
-        assert (tau(b) in divisors(tau(a))) == (b in divisors(a))
-        # a*b is simple exactly when b divides complement(a).
-        assert (compose_simple(a, b) is not None) == (b in divisors(complement(a)))
-        for c in Simple:
-            assert meet(meet(a, b), c) == meet(a, meet(b, c))
-
-    # Weight-2 normality: for a of weight 2 and proper b, a.b is left-weighted
-    # exactly when delta does not divide a*b, i.e. complement(a) does not
-    # divide b.
-    for a in _WEIGHT2:
-        for b in PROPER_SIMPLES:
-            assert left_weighted(a, b) == (complement(a) not in divisors(b))
+        "meet is the gcd": all(
+            MEET[a][b] in DIVISORS[a]
+            and MEET[a][b] in DIVISORS[b]
+            and DIVISORS[a] & DIVISORS[b] <= DIVISORS[MEET[a][b]]
+            and MEET[a][b] == MEET[b][a]
+            for a, b in pairs
+        ),
+        "tau is a lattice automorphism": all(
+            tau[MEET[a][b]] == MEET[tau[a]][tau[b]]
+            and (tau[b] in DIVISORS[tau[a]]) == (b in DIVISORS[a])
+            for a, b in pairs
+        ),
+        "a * b is simple iff b divides complement(a)": all(
+            (COMPOSE[a][b] is not None) == (b in DIVISORS[COMPLEMENT[a]])
+            for a, b in pairs
+        ),
+        "meet is associative": all(
+            MEET[MEET[a][b]][c] == MEET[a][MEET[b][c]] for a, b in pairs for c in Simple
+        ),
+        # For a of weight 2 and proper b, a.b is left-weighted exactly when
+        # delta does not divide a*b, i.e. complement(a) does not divide b.
+        "weight-2 normality": all(
+            LEFT_WEIGHTED[a][b] == (COMPLEMENT[a] not in DIVISORS[b])
+            for a in _WEIGHT2
+            for b in PROPER_SIMPLES
+        ),
+    }
+    failed = [law for law, holds in laws.items() if not holds]
+    if failed:
+        raise RuntimeError("simple tables break: " + "; ".join(failed))
 
 
 self_check()

@@ -1,6 +1,6 @@
 """
 sliding: cycling, decycling, the preferred prefix, cyclic sliding, rigidity,
-transport, and sliding trajectories.
+and sliding trajectories.
 
 For x = delta^p . x1 ... xr with r >= 1:
 
@@ -25,11 +25,7 @@ can be done locally:
 with both parenthesized products staying simple; only a cheap renormalization
 pass remains.  `slide_to_circuit` iterates sliding until an element repeats,
 which finds the periodic part (a circuit of the sliding orbit) in finitely
-many steps; `slide_to_sss` applies the 3*len batch that guarantees landing in
-the super summit set, plus a confirmation loop while (inf, sup) still improve.
-
-`transport(x, s)` is the arrow transport under cycling:
-iota(x)^-1 . s . iota(x^s), defined when it is again simple.
+many steps.
 """
 
 from __future__ import annotations
@@ -37,15 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from bkl4.engine import (
-    IDENTITY,
-    GarsideBraid,
-    braid_from_factors,
-    conjugate,
-    invert,
-    multiply,
-    normalize_factors,
-)
+from bkl4.engine import GarsideBraid, braid_from_factors, normalize_factors
 from bkl4.simples import (
     COMPLEMENT,
     COMPOSE,
@@ -68,8 +56,6 @@ __all__ = [
     "decycling",
     "cyclic_sliding",
     "is_rigid",
-    "transport",
-    "slide_to_sss",
     "slide_to_circuit",
 ]
 
@@ -79,7 +65,7 @@ class DeltaPowerError(ValueError):
 
 
 class NotSimpleError(ValueError):
-    """Raised when a transport or quotient that must be simple is not."""
+    """Raised when a product that must be simple is not."""
 
 
 class SlidingStep(NamedTuple):
@@ -172,46 +158,6 @@ def is_rigid(x: GarsideBraid) -> bool:
     ]
 
 
-def transport(x: GarsideBraid, s: Simple) -> Simple:
-    """The cycling transport iota(x)^-1 . s . iota(x^s) of an arrow s at x.
-
-    Raises NotSimpleError if the result is not simple, DeltaPowerError if
-    either x or x^s has no canonical factors.
-    """
-    y = conjugate(x, braid_from_factors(0, (s,)))
-    ix = braid_from_factors(0, (initial_factor(x),))
-    iy = braid_from_factors(0, (initial_factor(y),))
-    moved = multiply(multiply(invert(ix), braid_from_factors(0, (s,))), iy)
-    if moved.power == 0 and not moved.factors:
-        return Simple.ONE
-    if moved.power == 0 and len(moved.factors) == 1:
-        return moved.factors[0]
-    if moved.power == 1 and not moved.factors:
-        return Simple.DELTA
-    raise NotSimpleError(f"transport of {s!r} at {x!r} is not simple: {moved!r}")
-
-
-def slide_to_sss(x: GarsideBraid) -> tuple[GarsideBraid, GarsideBraid]:
-    """Slide x into its super summit set; returns (y, z) with x^z = y.
-
-    Applies 3*canonical_length(x) slidings (enough for this group), then keeps
-    sliding while (inf, sup) still improve.
-    """
-    y = x
-    parts: list[Simple] = []
-    for _ in range(3 * x.canonical_length):
-        step = cyclic_sliding(y)
-        y = step.result
-        parts.append(step.prefix)
-    while True:
-        step = cyclic_sliding(y)
-        if (step.result.inf, step.result.sup) == (y.inf, y.sup):
-            break
-        y = step.result
-        parts.append(step.prefix)
-    return y, braid_from_factors(0, parts)
-
-
 @dataclass(frozen=True, slots=True)
 class SlidingTrajectory:
     """The sliding walk from x until the first repeated element.
@@ -231,13 +177,6 @@ class SlidingTrajectory:
     def representative(self) -> GarsideBraid:
         return self.steps[self.cycle_start]
 
-    @property
-    def circuit(self) -> tuple[GarsideBraid, ...]:
-        return self.steps[self.cycle_start :]
-
-    def conjugator_to(self, index: int) -> GarsideBraid:
-        """z with x^z = steps[index]."""
-        return braid_from_factors(0, self.prefixes[:index])
 
 
 def slide_to_circuit(x: GarsideBraid) -> SlidingTrajectory:

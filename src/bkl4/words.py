@@ -17,6 +17,11 @@ element, i.e. it is interchangeable with the fixed atom factorization
 (c123 = a12.a23, c234 = a23.a34, c134 = a34.a14, c124 = a14.a12,
 p12-34 = a34.a12, p14-23 = a14.a23).
 
+A word may have at most MAX_WORD_LETTERS letters: a term other than 'd'
+counts |exponent| letters (normalizing spells each of them out), and 'd^e'
+counts none.  `parse_word` rejects a longer word before it builds anything of
+that size.
+
 `format_braid` writes a normal form as 'd^p . f1 . f2 ...' using canonical
 factor names; its output parses back to the same braid.
 
@@ -42,9 +47,10 @@ import re
 from typing import Iterable
 
 from bkl4.engine import GarsideBraid, braid_from_letters
-from bkl4.simples import ATOMS, Simple, atom_spelling, name_of
+from bkl4.simples import SIMPLE_NAMES, SPELLING, Simple
 
 __all__ = [
+    "MAX_WORD_LETTERS",
     "ParseError",
     "parse_word",
     "parse_braid",
@@ -53,10 +59,11 @@ __all__ = [
     "beta_word",
     "beta_braid",
     "to_artin_letters",
-    "random_atom_word",
 ]
 
 Letter = tuple[Simple, int]
+
+MAX_WORD_LETTERS = 10_000
 
 _NAME_TO_LETTER: dict[str, Simple] = {
     "a12": Simple.A12,
@@ -91,8 +98,12 @@ class ParseError(ValueError):
 
 
 def parse_word(text: str) -> list[Letter]:
-    """Parse WordSyntax into signed letters [(simple, exponent), ...]."""
+    """Parse WordSyntax into signed letters [(simple, exponent), ...].
+
+    Raises ParseError at the term that takes the word past MAX_WORD_LETTERS.
+    """
     letters: list[Letter] = []
+    count = 0
     for match in _TOKEN_RE.finditer(text):
         token, position = match.group(), match.start()
         term = _TERM_RE.match(token)
@@ -103,7 +114,17 @@ def parse_word(text: str) -> list[Letter]:
         if simple is None:
             raise ParseError(f"unknown generator name {name!r}", position)
         exp = term.group("exp")
-        letters.append((simple, int(exp) if exp is not None else 1))
+        try:
+            e = int(exp) if exp is not None else 1
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"exponent of {name!r} is too long", position) from None
+        if simple != Simple.DELTA:
+            count += abs(e)
+            if count > MAX_WORD_LETTERS:
+                raise ParseError(
+                    f"word has more than {MAX_WORD_LETTERS} letters", position
+                )
+        letters.append((simple, e))
     return letters
 
 
@@ -115,7 +136,7 @@ def parse_braid(text: str) -> GarsideBraid:
 def format_braid(x: GarsideBraid) -> str:
     """Render a normal form as 'd^p . f1 . f2 ...'; parses back to x."""
     parts = [f"d^{x.power}"]
-    parts.extend(name_of(f) for f in x.factors)
+    parts.extend(SIMPLE_NAMES[f] for f in x.factors)
     return " . ".join(parts)
 
 
@@ -133,7 +154,8 @@ def format_braid_compact(x: GarsideBraid) -> str:
             count += 1
             continue
         if run is not None:
-            parts.append(name_of(run) if count == 1 else f"{name_of(run)}^{count}")
+            name = SIMPLE_NAMES[run]
+            parts.append(name if count == 1 else f"{name}^{count}")
         run, count = f, 1
     if not parts:
         return "1"
@@ -167,7 +189,7 @@ def to_artin_letters(letters: Iterable[Letter]) -> list[int]:
     out: list[int] = []
     for simple, exp in letters:
         expansion: list[int] = []
-        for atom in atom_spelling(simple):
+        for atom in SPELLING[simple]:
             expansion.extend(_ARTIN_ATOM[atom])
         if exp < 0:
             expansion = [-g for g in reversed(expansion)]
@@ -175,7 +197,3 @@ def to_artin_letters(letters: Iterable[Letter]) -> list[int]:
             out.extend(expansion)
     return out
 
-
-def random_atom_word(rng, count: int) -> list[Letter]:
-    """A uniformly random signed band-generator word with `count` letters."""
-    return [(rng.choice(ATOMS), rng.choice((1, -1))) for _ in range(count)]

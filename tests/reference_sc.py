@@ -27,7 +27,6 @@ from bkl4.sliding import (
     decycling,
     final_factor,
     initial_factor,
-    is_rigid,
     slide_to_circuit,
 )
 
@@ -36,14 +35,13 @@ def reference_sc(x: GarsideBraid) -> dict[GarsideBraid, GarsideBraid]:
     """SC(x) as {element: z with x^z = element}, in breadth-first order."""
     entry = slide_to_circuit(x)
     rep = entry.representative
-    rigid_class = is_rigid(rep)
     conjugators = {rep: entry.accumulated_conjugator}
     queue = [rep]
     delta = GarsideBraid(1, ())
     for y in queue:
         zy = conjugators[y]
         neighbors = []
-        for s in minimal_arrows(y, known_rigid=rigid_class):
+        for s in minimal_arrows(y):
             ext = braid_from_factors(0, (s,))
             neighbors.append((conjugate(y, ext), ext))
         neighbors.append((tau_braid(y), delta))
@@ -85,7 +83,7 @@ def orbit_partition(elements) -> list[tuple[GarsideBraid, ...]]:
 
 
 def reference_quotient(
-    elements, rigid: bool
+    elements,
 ) -> tuple[list[tuple[GarsideBraid, ...]], dict[tuple[int, int], tuple[Simple, ...]]]:
     """(orbits, edge labels) of the orbit quotient: an unordered edge for each
     minimal arrow of a representative whose target lies in another orbit."""
@@ -94,7 +92,7 @@ def reference_quotient(
     labels: dict[tuple[int, int], set[Simple]] = {}
     for i, orbit in enumerate(orbits):
         rep = orbit[0]
-        for s in minimal_arrows(rep, known_rigid=rigid):
+        for s in minimal_arrows(rep):
             j = index_of[conjugate(rep, braid_from_factors(0, (s,)))]
             if j != i:
                 labels.setdefault((min(i, j), max(i, j)), set()).add(s)

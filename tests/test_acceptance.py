@@ -26,15 +26,14 @@ from bkl4.engine import (
 )
 from bkl4.simples import (
     ATOMS,
+    COMPLEMENT,
+    COMPOSE,
+    DIVISORS,
+    IS_NORMAL,
+    TAU_POWER,
+    WEIGHT,
     Simple,
-    complement,
-    compose_simple,
-    divisors,
-    is_pair_normal,
     self_check,
-    tau,
-    tau_power,
-    weight,
 )
 from bkl4.sliding import cyclic_sliding, final_factor, initial_factor, is_rigid
 from bkl4.solver import CONJUGATE, NOT_CONJUGATE, solve_conjugacy, verify_certificate
@@ -109,16 +108,16 @@ def test_03_table_self_checks():
     simples = list(Simple)
     assert len(simples) == 14
     for s in simples:
-        assert complement(complement(s)) == tau(s)
-        assert tau_power(s, 4) == s
-        assert weight(s) + weight(complement(s)) == 3
-        assert compose_simple(s, complement(s)) == Simple.DELTA
+        assert COMPLEMENT[COMPLEMENT[s]] == TAU_POWER[1][s]
+        assert TAU_POWER[1][TAU_POWER[3][s]] == s
+        assert WEIGHT[s] + WEIGHT[COMPLEMENT[s]] == 3
+        assert COMPOSE[s][COMPLEMENT[s]] == Simple.DELTA
     # A weight-2 simple a followed by any simple b is already left-weighted
     # whenever delta does not divide a*b.
     for a in simples:
         for b in simples:
-            if weight(a) == 2 and normalize_factors((a, b))[0] == 0:
-                assert is_pair_normal(a, b)
+            if WEIGHT[a] == 2 and normalize_factors((a, b))[0] == 0:
+                assert IS_NORMAL[a][b]
     self_check()
 
 
@@ -237,7 +236,7 @@ def _mixed_weight_rigid_braids(count):
         )
     while len(found) < count:
         x = random_braid(rng, rng.randrange(2, 7), rng.randrange(-2, 3))
-        if {weight(f) for f in x.factors} == {1, 2} and is_rigid(x):
+        if {WEIGHT[f] for f in x.factors} == {1, 2} and is_rigid(x):
             found.append(x)
     return found
 
@@ -247,7 +246,7 @@ def test_08_mixed_weight_single_orbit():
     assert len(braids) >= 100
     for x in braids:
         assert is_rigid(x)
-        assert {weight(f) for f in x.factors} == {1, 2}
+        assert {WEIGHT[f] for f in x.factors} == {1, 2}
         sc = compute_sc(x)
         assert len(sc.orbits) == 1
         assert sc.size <= 4 * x.canonical_length
@@ -262,18 +261,18 @@ def test_08_mixed_weight_single_orbit():
 def _edge_form(r, ks):
     factors = []
     for j in range(1, r + 1):
-        factors.extend([tau_power(Simple.A23, j - r)] * ks[j - 1])
+        factors.extend([TAU_POWER[(j - r) % 4][Simple.A23]] * ks[j - 1])
     return braid_from_factors(0, tuple(factors))
 
 
-def _strict_prefix_arrows(y, rigid):
+def _strict_prefix_arrows(y):
     iota = initial_factor(y)
-    dphi = complement(final_factor(y))
+    dphi = COMPLEMENT[final_factor(y)]
     return [
         s
-        for s in minimal_arrows(y, known_rigid=rigid)
-        if (s in divisors(iota) and s != iota)
-        or (s in divisors(dphi) and s != dphi)
+        for s in minimal_arrows(y)
+        if (s in DIVISORS[iota] and s != iota)
+        or (s in DIVISORS[dphi] and s != dphi)
     ]
 
 
@@ -298,7 +297,7 @@ def test_09_edge_case_family():
         assert graph.vertex_count <= 6
         assert sc.size <= 24 * y.canonical_length
         if r > 1:
-            strict = _strict_prefix_arrows(y, sc.rigid)
+            strict = _strict_prefix_arrows(y)
             if r % 3 == 0:
                 assert len(strict) == 3
             else:
@@ -384,6 +383,6 @@ def test_sc_search_matches_reference_on_acceptance_pools(random_sc_pool, beta_sc
     for sc in sets:
         reference = reference_sc(sc.base)
         assert set(sc.elements) == set(reference)
-        orbits, labels = reference_quotient(reference, sc.rigid)
+        orbits, labels = reference_quotient(reference)
         assert [orbit.members for orbit in sc.orbits] == orbits
         assert quotient_graph(sc).edge_labels == labels

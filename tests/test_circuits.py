@@ -25,7 +25,7 @@ from bkl4.engine import (
     power,
     random_braid,
 )
-from bkl4.simples import ATOMS, Simple
+from bkl4.simples import ATOMS, COMPLEMENT, WEIGHT, Simple
 from bkl4.sliding import is_rigid, slide_to_circuit
 from bkl4.words import beta_braid
 from reference_sc import orbit_partition
@@ -195,7 +195,7 @@ def test_arrows_are_arrows_and_minimal():
     members = set(sc.elements)
     checked = 0
     for y in list(sc.elements)[:40]:
-        arrows = minimal_arrows(y, known_rigid=sc.rigid)
+        arrows = minimal_arrows(y)
         assert arrows, y
         for s in arrows:
             target = conjugate(y, braid_from_factors(0, (s,)))
@@ -283,7 +283,7 @@ def test_circuit_graph_matches_per_element_arrows():
         graph = circuit_graph(sc)
         assert list(graph) == list(sc.elements)
         for y, arrows in graph.items():
-            expected = minimal_arrows(y, known_rigid=sc.rigid)
+            expected = minimal_arrows(y)
             assert tuple(s for s, _ in arrows) == expected
             for s, target in arrows:
                 assert target == conjugate(y, GarsideBraid(0, (s,)))
@@ -335,15 +335,13 @@ def test_diagonal_orbits_are_at_most_bivalent():
     # diagonal (a13 or a24) meets at most two other orbits: its strict-prefix
     # arrows all divide complement(a13) = p12-34 (or its twist), which has
     # only two nontrivial proper divisors.
-    from bkl4.simples import complement, weight
-
-    assert complement(M) == Simple.P12_34
-    assert complement(A) == Simple.P14_23
+    assert COMPLEMENT[M] == Simple.P12_34
+    assert COMPLEMENT[A] == Simple.P14_23
     rng = random.Random(77)
     found = []
     while len(found) < 40:
         x = random_braid(rng, rng.randrange(2, 7), rng.randrange(-2, 3))
-        if not all(weight(f) == 1 for f in x.factors):
+        if not all(WEIGHT[f] == 1 for f in x.factors):
             continue
         if not any(f in (M, A) for f in x.factors):
             continue

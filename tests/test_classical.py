@@ -12,7 +12,6 @@ from bkl4.classical import (
     ClassicalNF,
     classical_is_trivial,
     classical_normalize,
-    classical_word_length,
 )
 
 _S1 = (1, 0, 2, 3)
@@ -77,13 +76,6 @@ def test_rejects_non_artin_letters():
         classical_normalize([4])
     with pytest.raises(ValueError):
         classical_normalize([0])
-
-
-def test_word_length_three_cases():
-    assert classical_word_length(ClassicalNF(2, (_S1,))) == 3
-    assert classical_word_length(ClassicalNF(-1, (_S1, _S1))) == 2
-    assert classical_word_length(ClassicalNF(-3, (_S1,))) == 3
-    assert classical_word_length(ClassicalNF(0, ())) == 0
 
 
 def test_inverse_words_are_trivial():

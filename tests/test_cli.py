@@ -174,6 +174,18 @@ def test_parse_error_json(capsys):
     assert "position 4" in data["message"]
 
 
+
+def test_word_over_the_letter_bound(capsys):
+    code, out, err = run(capsys, "nf", "--json", "a12^1000000000")
+    assert code == 2
+    data = json.loads(out)
+    assert data["outcome"] == "error" and data["reason"] == "parse-error"
+    assert "more than 10000 letters" in data["message"]
+    code, out, err = run(capsys, "sc", "a13^-1000000000")
+    assert code == 2 and out == ""
+    assert "more than 10000 letters" in err
+
+
 def test_conj_conjugate(capsys):
     code, out, err = run(capsys, "conj", "a12", "a24")
     assert code == 0

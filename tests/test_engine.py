@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bkl4.classical import classical_normalize
 from bkl4.engine import (
     IDENTITY,
     GarsideBraid,
@@ -14,14 +17,14 @@ from bkl4.engine import (
     conjugate,
     invariants,
     invert,
-    iter_normal_factor_tuples,
     multiply,
     normalize_factors,
     power,
     random_braid,
     tau_braid,
 )
-from bkl4.simples import PROPER_SIMPLES, Simple, left_weighted
+from bkl4.simples import FOLLOWS, LEFT_WEIGHTED, PROPER_SIMPLES, Simple
+from bkl4.words import to_artin_letters
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -37,7 +40,7 @@ def assert_normal(x: GarsideBraid) -> None:
     for f in x.factors:
         assert f not in (Simple.ONE, Simple.DELTA)
     for u, v in zip(x.factors, x.factors[1:]):
-        assert left_weighted(u, v)
+        assert LEFT_WEIGHTED[u][v]
 
 
 def test_normalize_examples_frozen():
@@ -167,13 +170,28 @@ def test_normalize_factors_is_idempotent_and_normal():
         assert_normal(GarsideBraid(p, fs))
 
 
+def iter_normal_factor_tuples(length: int):
+    """Yield every left-weighted proper factor tuple of the given length."""
+    if length == 0:
+        yield ()
+        return
+    stack = [(f,) for f in reversed(PROPER_SIMPLES)]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == length:
+            yield prefix
+            continue
+        for nxt in reversed(FOLLOWS[prefix[-1]]):
+            stack.append(prefix + (nxt,))
+
+
 def test_normal_form_counts_frozen():
     assert sum(1 for _ in iter_normal_factor_tuples(0)) == 1
     assert sum(1 for _ in iter_normal_factor_tuples(1)) == 12
     assert sum(1 for _ in iter_normal_factor_tuples(2)) == 72
     assert sum(1 for _ in iter_normal_factor_tuples(3)) == 372
     for fs in iter_normal_factor_tuples(2):
-        assert left_weighted(fs[0], fs[1])
+        assert LEFT_WEIGHTED[fs[0]][fs[1]]
 
 
 def test_random_braid_shape():
@@ -193,3 +211,19 @@ def test_equality_is_normal_form_equality():
     assert via_letters == via_factors
     assert hash(via_letters) == hash(via_factors)
     assert via_letters != braid_from_factors(0, [Simple.C124])
+
+
+# Signed words over every name of the word syntax but the identity.
+_words = st.lists(
+    st.tuples(st.sampled_from(list(Simple)[1:]), st.integers(-3, 3)), max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=_words, v=_words)
+def test_multiply_agrees_with_the_classical_oracle(u, v):
+    product = multiply(braid_from_letters(u), braid_from_letters(v))
+    spelled = [(Simple.DELTA, product.power)] + [(f, 1) for f in product.factors]
+    assert classical_normalize(to_artin_letters(spelled)) == classical_normalize(
+        to_artin_letters(u) + to_artin_letters(v)
+    )

@@ -1,0 +1,41 @@
+"""The export lists: every name in a module's `__all__` is that module's own,
+and every name the package root exports is one of them.  Tools that look up
+each `__all__` name with getattr rely on both."""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+
+import bkl4
+
+MODULES = [
+    importlib.import_module(f"bkl4.{info.name}")
+    for info in pkgutil.iter_modules(bkl4.__path__)
+]
+
+
+def test_module_exports_are_defined_in_the_module():
+    exporting = [m for m in MODULES if hasattr(m, "__all__")]
+    assert {m.__name__ for m in exporting} >= {
+        "bkl4.simples", "bkl4.engine", "bkl4.words", "bkl4.sliding",
+        "bkl4.circuits", "bkl4.solver", "bkl4.classical",
+    }
+    for module in exporting:
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            assert name in vars(module), f"{module.__name__}.{name}"
+            value = vars(module)[name]
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == module.__name__, f"{module.__name__}.{name}"
+
+
+def test_root_exports_come_from_module_exports():
+    assert len(set(bkl4.__all__)) == len(bkl4.__all__)
+    for name in bkl4.__all__:
+        value = getattr(bkl4, name)
+        assert any(
+            name in getattr(m, "__all__", ()) and getattr(m, name) is value
+            for m in MODULES
+        ), name

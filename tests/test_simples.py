@@ -6,28 +6,25 @@ import itertools
 
 import pytest
 
+from bkl4 import simples
 from bkl4.simples import (
     ATOMS,
+    COMPLEMENT,
+    COMPOSE,
+    DIVISORS,
     FOLLOWS,
+    IS_NORMAL,
+    LEFT_WEIGHTED,
+    LQUOT,
+    MEET,
     PROPER_SIMPLES,
+    RENORM,
     SIMPLE_NAMES,
+    SPELLING,
+    TAU_POWER,
+    WEIGHT,
     Simple,
-    complement,
-    compose_simple,
-    divisors,
-    follows,
-    is_pair_normal,
-    left_weighted,
-    lquot,
-    meet,
-    name_of,
-    renorm_pair,
     self_check,
-    simple_from_name,
-    tau,
-    tau_inv,
-    tau_power,
-    weight,
 )
 
 S, W, N, E, M, A = (
@@ -41,23 +38,25 @@ S, W, N, E, M, A = (
 
 
 def test_names_round_trip():
-    assert len(SIMPLE_NAMES) == 14
+    assert len(set(SIMPLE_NAMES)) == 14
     for s in Simple:
-        assert simple_from_name(name_of(s)) == s
-    assert name_of(Simple.P12_34) == "p12-34"
-    assert name_of(Simple.DELTA) == "delta"
-    with pytest.raises(ValueError):
-        simple_from_name("a21")
+        assert Simple(SIMPLE_NAMES.index(SIMPLE_NAMES[s])) == s
+    assert SIMPLE_NAMES[Simple.P12_34] == "p12-34"
+    assert SIMPLE_NAMES[Simple.DELTA] == "delta"
+    assert "a21" not in SIMPLE_NAMES
 
 
 def test_weights():
-    assert weight(Simple.ONE) == 0
+    assert WEIGHT[Simple.ONE] == 0
     for a in ATOMS:
-        assert weight(a) == 1
+        assert WEIGHT[a] == 1
     for s in (Simple.C123, Simple.C124, Simple.C134, Simple.C234,
               Simple.P12_34, Simple.P14_23):
-        assert weight(s) == 2
-    assert weight(Simple.DELTA) == 3
+        assert WEIGHT[s] == 2
+    assert WEIGHT[Simple.DELTA] == 3
+    for s in Simple:
+        assert len(SPELLING[s]) == WEIGHT[s]
+        assert all(a in ATOMS for a in SPELLING[s])
 
 
 def test_complement_table_frozen():
@@ -78,147 +77,156 @@ def test_complement_table_frozen():
         Simple.DELTA: Simple.ONE,
     }
     for s in Simple:
-        assert complement(s) == expected[s]
+        assert COMPLEMENT[s] == expected[s]
 
 
 def test_tau_cycles_frozen():
     # tau rotates the square a quarter turn: two 4-cycles, one 2-cycle on the
     # diagonals, one 2-cycle on the chord pairs, fixing 1 and delta.
-    assert tau(S) == E and tau(E) == N and tau(N) == W and tau(W) == S
-    assert tau(M) == A and tau(A) == M
-    assert tau(Simple.C123) == Simple.C124
-    assert tau(Simple.C124) == Simple.C134
-    assert tau(Simple.C134) == Simple.C234
-    assert tau(Simple.C234) == Simple.C123
-    assert tau(Simple.P12_34) == Simple.P14_23
-    assert tau(Simple.P14_23) == Simple.P12_34
-    assert tau(Simple.ONE) == Simple.ONE
-    assert tau(Simple.DELTA) == Simple.DELTA
+    tau = TAU_POWER[1]
+    assert tau[S] == E and tau[E] == N and tau[N] == W and tau[W] == S
+    assert tau[M] == A and tau[A] == M
+    assert tau[Simple.C123] == Simple.C124
+    assert tau[Simple.C124] == Simple.C134
+    assert tau[Simple.C134] == Simple.C234
+    assert tau[Simple.C234] == Simple.C123
+    assert tau[Simple.P12_34] == Simple.P14_23
+    assert tau[Simple.P14_23] == Simple.P12_34
+    assert tau[Simple.ONE] == Simple.ONE
+    assert tau[Simple.DELTA] == Simple.DELTA
     for s in Simple:
-        assert tau_inv(tau(s)) == s
-        assert tau_power(s, 4) == s
-        assert tau_power(s, -1) == tau_inv(s)
-        assert tau_power(s, 2) == tau(tau(s))
+        assert TAU_POWER[0][s] == s
+        assert TAU_POWER[2][s] == tau[tau[s]]
+        assert TAU_POWER[3][tau[s]] == s
 
 
 def test_divisor_sets_frozen():
-    assert divisors(Simple.C123) == frozenset({Simple.ONE, S, W, M, Simple.C123})
-    assert divisors(Simple.C234) == frozenset({Simple.ONE, W, N, A, Simple.C234})
-    assert divisors(Simple.C134) == frozenset({Simple.ONE, N, E, M, Simple.C134})
-    assert divisors(Simple.C124) == frozenset({Simple.ONE, E, S, A, Simple.C124})
-    assert divisors(Simple.P12_34) == frozenset({Simple.ONE, S, N, Simple.P12_34})
-    assert divisors(Simple.P14_23) == frozenset({Simple.ONE, E, W, Simple.P14_23})
-    assert divisors(Simple.DELTA) == frozenset(Simple)
-    assert divisors(Simple.ONE) == frozenset({Simple.ONE})
+    assert DIVISORS[Simple.C123] == frozenset({Simple.ONE, S, W, M, Simple.C123})
+    assert DIVISORS[Simple.C234] == frozenset({Simple.ONE, W, N, A, Simple.C234})
+    assert DIVISORS[Simple.C134] == frozenset({Simple.ONE, N, E, M, Simple.C134})
+    assert DIVISORS[Simple.C124] == frozenset({Simple.ONE, E, S, A, Simple.C124})
+    assert DIVISORS[Simple.P12_34] == frozenset({Simple.ONE, S, N, Simple.P12_34})
+    assert DIVISORS[Simple.P14_23] == frozenset({Simple.ONE, E, W, Simple.P14_23})
+    assert DIVISORS[Simple.DELTA] == frozenset(Simple)
+    assert DIVISORS[Simple.ONE] == frozenset({Simple.ONE})
     for a in ATOMS:
-        assert divisors(a) == frozenset({Simple.ONE, a})
+        assert DIVISORS[a] == frozenset({Simple.ONE, a})
 
 
 def test_meet_examples():
-    assert meet(Simple.C123, Simple.C134) == M
-    assert meet(Simple.C123, Simple.C234) == W
-    assert meet(Simple.P12_34, Simple.P14_23) == Simple.ONE
-    assert meet(Simple.C123, Simple.P12_34) == S
-    assert meet(S, W) == Simple.ONE
-    assert meet(Simple.DELTA, Simple.C124) == Simple.C124
+    assert MEET[Simple.C123][Simple.C134] == M
+    assert MEET[Simple.C123][Simple.C234] == W
+    assert MEET[Simple.P12_34][Simple.P14_23] == Simple.ONE
+    assert MEET[Simple.C123][Simple.P12_34] == S
+    assert MEET[S][W] == Simple.ONE
+    assert MEET[Simple.DELTA][Simple.C124] == Simple.C124
     for a, b in itertools.product(Simple, Simple):
-        assert meet(a, b) == meet(b, a)
-        assert meet(a, b) in divisors(a)
+        assert MEET[a][b] == MEET[b][a]
+        assert MEET[a][b] in DIVISORS[a]
 
 
 def test_compose_examples():
     # Relation cells: each two-letter spelling composes to its weight-2 simple.
-    assert compose_simple(S, W) == Simple.C123
-    assert compose_simple(W, M) == Simple.C123
-    assert compose_simple(M, S) == Simple.C123
-    assert compose_simple(W, N) == Simple.C234
-    assert compose_simple(N, A) == Simple.C234
-    assert compose_simple(A, W) == Simple.C234
-    assert compose_simple(N, E) == Simple.C134
-    assert compose_simple(E, M) == Simple.C134
-    assert compose_simple(M, N) == Simple.C134
-    assert compose_simple(E, S) == Simple.C124
-    assert compose_simple(S, A) == Simple.C124
-    assert compose_simple(A, E) == Simple.C124
-    assert compose_simple(N, S) == Simple.P12_34
-    assert compose_simple(S, N) == Simple.P12_34
-    assert compose_simple(E, W) == Simple.P14_23
-    assert compose_simple(W, E) == Simple.P14_23
+    assert COMPOSE[S][W] == Simple.C123
+    assert COMPOSE[W][M] == Simple.C123
+    assert COMPOSE[M][S] == Simple.C123
+    assert COMPOSE[W][N] == Simple.C234
+    assert COMPOSE[N][A] == Simple.C234
+    assert COMPOSE[A][W] == Simple.C234
+    assert COMPOSE[N][E] == Simple.C134
+    assert COMPOSE[E][M] == Simple.C134
+    assert COMPOSE[M][N] == Simple.C134
+    assert COMPOSE[E][S] == Simple.C124
+    assert COMPOSE[S][A] == Simple.C124
+    assert COMPOSE[A][E] == Simple.C124
+    assert COMPOSE[N][S] == Simple.P12_34
+    assert COMPOSE[S][N] == Simple.P12_34
+    assert COMPOSE[E][W] == Simple.P14_23
+    assert COMPOSE[W][E] == Simple.P14_23
     # Non-simple products.
-    assert compose_simple(S, S) is None
-    assert compose_simple(M, A) is None
-    assert compose_simple(M, Simple.P14_23) is None
-    assert compose_simple(Simple.C123, Simple.C123) is None
+    assert COMPOSE[S][S] is None
+    assert COMPOSE[M][A] is None
+    assert COMPOSE[M][Simple.P14_23] is None
+    assert COMPOSE[Simple.C123][Simple.C123] is None
     # Composing up to delta.
-    assert compose_simple(S, Simple.C234) == Simple.DELTA
-    assert compose_simple(Simple.C123, N) == Simple.DELTA
+    assert COMPOSE[S][Simple.C234] == Simple.DELTA
+    assert COMPOSE[Simple.C123][N] == Simple.DELTA
     for u in Simple:
-        assert compose_simple(Simple.ONE, u) == u
-        assert compose_simple(u, Simple.ONE) == u
+        assert COMPOSE[Simple.ONE][u] == u
+        assert COMPOSE[u][Simple.ONE] == u
 
 
 def test_lquot():
-    assert lquot(S, Simple.C123) == W
-    assert lquot(M, Simple.C123) == S
-    assert lquot(S, Simple.DELTA) == Simple.C234
-    assert lquot(Simple.C123, Simple.DELTA) == N
-    assert lquot(W, Simple.C134) is None
+    assert LQUOT[S][Simple.C123] == W
+    assert LQUOT[M][Simple.C123] == S
+    assert LQUOT[S][Simple.DELTA] == Simple.C234
+    assert LQUOT[Simple.C123][Simple.DELTA] == N
+    assert LQUOT[W][Simple.C134] is None
     for v in Simple:
-        assert lquot(Simple.ONE, v) == v
-        assert lquot(v, v) == Simple.ONE
-        for t in divisors(v):
-            q = lquot(t, v)
-            assert q is not None and compose_simple(t, q) == v
+        assert LQUOT[Simple.ONE][v] == v
+        assert LQUOT[v][v] == Simple.ONE
+        for t in DIVISORS[v]:
+            q = LQUOT[t][v]
+            assert q is not None and COMPOSE[t][q] == v
 
 
 def test_left_weighted_examples():
-    assert left_weighted(S, S) is True
-    assert left_weighted(S, W) is False  # composes into c123
-    assert left_weighted(S, E) is True
-    assert left_weighted(S, M) is True
-    assert left_weighted(Simple.P14_23, Simple.C124) is True
-    assert left_weighted(Simple.C123, N) is False  # composes into delta
+    assert LEFT_WEIGHTED[S][S] is True
+    assert LEFT_WEIGHTED[S][W] is False  # composes into c123
+    assert LEFT_WEIGHTED[S][E] is True
+    assert LEFT_WEIGHTED[S][M] is True
+    assert LEFT_WEIGHTED[Simple.P14_23][Simple.C124] is True
+    assert LEFT_WEIGHTED[Simple.C123][N] is False  # composes into delta
     for a, b in itertools.product(Simple, Simple):
-        assert left_weighted(a, b) == (meet(complement(a), b) == Simple.ONE)
+        assert LEFT_WEIGHTED[a][b] == (MEET[COMPLEMENT[a]][b] == Simple.ONE)
 
 
 def test_left_weighted_c123_a12():
-    # Explicit: complement(c123) = a34 and meet(a34, a12) = 1, so c123.a12 is
+    # Explicit: COMPLEMENT[c123] = a34 and MEET[a34][a12] = 1, so c123.a12 is
     # left-weighted even though both letters involve strands 1 and 2.
-    assert meet(complement(Simple.C123), S) == Simple.ONE
-    assert left_weighted(Simple.C123, S) is True
+    assert MEET[COMPLEMENT[Simple.C123]][S] == Simple.ONE
+    assert LEFT_WEIGHTED[Simple.C123][S] is True
 
 
 def test_renorm_pair_and_follows():
-    # A non-normal pair slides: (a13, c123) -> a13 absorbs meet(p12-34, c123)=s.
-    assert renorm_pair(M, Simple.C123) == (Simple.C123, W)
-    assert is_pair_normal(M, Simple.C123) is False
-    assert is_pair_normal(Simple.C123, W) is True  # meet(a34, a23) = 1
-    assert renorm_pair(Simple.C123, N) == (Simple.DELTA, Simple.ONE)
-    assert is_pair_normal(S, S) is True
+    # A non-normal pair slides: (a13, c123) -> a13 absorbs MEET[p12-34][c123]=s.
+    assert RENORM[M][Simple.C123] == (Simple.C123, W)
+    assert IS_NORMAL[M][Simple.C123] is False
+    assert IS_NORMAL[Simple.C123][W] is True  # MEET[a34][a23] = 1
+    assert RENORM[Simple.C123][N] == (Simple.DELTA, Simple.ONE)
+    assert IS_NORMAL[S][S] is True
     # Trailing identity and leading delta behave as sentinels.
-    assert renorm_pair(Simple.ONE, M) == (M, Simple.ONE)
-    assert renorm_pair(S, Simple.DELTA) == (Simple.DELTA, tau(S))
-    assert renorm_pair(Simple.DELTA, M) == (Simple.DELTA, M)
-    # follows() enumerates the allowed successors.
-    assert follows(S) == (S, E, M)
-    assert follows(Simple.DELTA) == PROPER_SIMPLES
+    assert RENORM[Simple.ONE][M] == (M, Simple.ONE)
+    assert RENORM[S][Simple.DELTA] == (Simple.DELTA, TAU_POWER[1][S])
+    assert RENORM[Simple.DELTA][M] == (Simple.DELTA, M)
+    # FOLLOWS enumerates the allowed successors.
+    assert FOLLOWS[S] == (S, E, M)
+    assert FOLLOWS[Simple.DELTA] == PROPER_SIMPLES
     for u in PROPER_SIMPLES:
         for v in PROPER_SIMPLES:
-            assert (v in follows(u)) == is_pair_normal(u, v)
+            assert (v in FOLLOWS[u]) == IS_NORMAL[u][v]
 
 
 def test_weight2_normality_criterion():
-    # For a of weight 2 and b proper: a.b left-weighted iff complement(a)
+    # For a of weight 2 and b proper: a.b left-weighted iff COMPLEMENT[a]
     # does not divide b.
     for a in (Simple.C123, Simple.C124, Simple.C134, Simple.C234,
               Simple.P12_34, Simple.P14_23):
         for b in PROPER_SIMPLES:
-            assert left_weighted(a, b) == (complement(a) not in divisors(b))
+            assert LEFT_WEIGHTED[a][b] == (COMPLEMENT[a] not in DIVISORS[b])
 
 
 def test_self_check_runs():
     self_check()
+
+
+def test_self_check_raises_on_a_broken_table(monkeypatch):
+    # A plain raise, not an assert, so the check also runs under python -O.
+    broken = list(COMPLEMENT)
+    broken[Simple.A12] = Simple.C123
+    monkeypatch.setattr(simples, "COMPLEMENT", tuple(broken))
+    with pytest.raises(RuntimeError, match="complement"):
+        self_check()
 
 
 def test_atom_count_and_proper_count():

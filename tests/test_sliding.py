@@ -1,4 +1,4 @@
-"""Tests for cycling, sliding, rigidity, transport, and trajectories."""
+"""Tests for cycling, sliding, rigidity, and trajectories."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from bkl4.engine import (
     GarsideBraid,
     braid_from_factors,
     conjugate,
-    invariants,
     invert,
     power,
     random_braid,
@@ -19,7 +18,6 @@ from bkl4.engine import (
 from bkl4.simples import Simple
 from bkl4.sliding import (
     DeltaPowerError,
-    NotSimpleError,
     cyclic_sliding,
     cycling,
     decycling,
@@ -28,8 +26,6 @@ from bkl4.sliding import (
     is_rigid,
     preferred_prefix,
     slide_to_circuit,
-    slide_to_sss,
-    transport,
 )
 from bkl4.words import beta_braid
 
@@ -79,7 +75,7 @@ def test_sliding_circuit_of_c123_a12_frozen():
     )
     assert traj.accumulated_conjugator == IDENTITY
     assert traj.representative == x
-    assert not any(is_rigid(y) for y in traj.circuit)
+    assert not any(is_rigid(y) for y in traj.steps[traj.cycle_start :])
 
 
 def test_rigid_examples():
@@ -124,46 +120,6 @@ def test_delta_powers_are_fixed():
         assert step.result == x and step.prefix == Simple.ONE
 
 
-def test_transport_frozen_and_errors():
-    assert transport(GarsideBraid(0, (M, M)), S) == S
-    assert transport(GarsideBraid(0, (M, M)), M) == M
-    with pytest.raises(DeltaPowerError):
-        transport(IDENTITY, S)
-
-
-def test_transport_commutes_with_cycling():
-    # If t = transport(x, s) then c(x)^t == c(x^s).
-    rng = random.Random(3)
-    done = 0
-    while done < 200:
-        x = random_braid(rng, rng.randrange(1, 6), rng.randrange(-2, 3))
-        s = rng.choice(list(Simple)[1:-1])
-        y = conjugate(x, braid_from_factors(0, (s,)))
-        if not y.factors:
-            continue
-        try:
-            t = transport(x, s)
-        except NotSimpleError:
-            continue
-        assert conjugate(cycling(x), braid_from_factors(0, (t,))) == cycling(y)
-        done += 1
-
-
-def test_slide_to_sss_reaches_minimal_length():
-    # x = a12 . a12^-1 spelled with an unreduced conjugate: w z w^-1 has the
-    # same SSS data as z.
-    rng = random.Random(12)
-    for _ in range(150):
-        z = random_braid(rng, rng.randrange(0, 5), rng.randrange(-2, 3))
-        w = random_braid(rng, rng.randrange(0, 4), rng.randrange(-2, 3))
-        noisy = conjugate(z, w)
-        y, conj = slide_to_sss(noisy)
-        assert conjugate(noisy, conj) == y
-        yz, _ = slide_to_sss(z)
-        assert (y.inf, y.sup) == (yz.inf, yz.sup)
-        assert invariants(y).weight == invariants(z).weight
-
-
 def test_slide_to_circuit_structure():
     rng = random.Random(77)
     for _ in range(150):
@@ -181,7 +137,8 @@ def test_slide_to_circuit_structure():
         cur = conjugate(cur, braid_from_factors(0, (traj.prefixes[-1],)))
         assert cur == traj.steps[traj.cycle_start]
         for i in range(traj.cycle_start, len(traj.steps)):
-            assert traj.steps[i] == conjugate(x, traj.conjugator_to(i))
+            z = braid_from_factors(0, traj.prefixes[:i])
+            assert traj.steps[i] == conjugate(x, z)
 
 
 def test_rigid_trajectory_is_single_point():
@@ -190,7 +147,6 @@ def test_rigid_trajectory_is_single_point():
         traj = slide_to_circuit(b)
         assert traj.cycle_start == 0
         assert traj.steps == (b,)
-        assert traj.circuit == (b,)
         assert traj.accumulated_conjugator == IDENTITY
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bkl4.engine import (
     IDENTITY,
     GarsideBraid,
@@ -187,3 +190,20 @@ def test_solver_respects_weight_invariant():
             assert decision.outcome == NOT_CONJUGATE
         if decision.outcome == CONJUGATE:
             assert verify_certificate(decision.certificate)
+
+
+_braids = st.builds(
+    lambda seed, length, inf: random_braid(random.Random(seed), length, inf),
+    st.integers(0, 2**32),
+    st.integers(0, 8),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_braids, w=_braids)
+def test_conjugates_are_never_called_not_conjugate(x, w):
+    decision = solve_conjugacy(x, conjugate(x, w))
+    assert decision.outcome != NOT_CONJUGATE
+    if decision.outcome == CONJUGATE:
+        assert verify_certificate(decision.certificate)

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from bkl4.engine import (
     GarsideBraid,
-    braid_from_factors,
     invariants,
     random_braid,
 )
 from bkl4.simples import Simple
 from bkl4.words import (
+    MAX_WORD_LETTERS,
     ParseError,
     beta_braid,
     beta_word,
@@ -21,7 +22,6 @@ from bkl4.words import (
     format_braid_compact,
     parse_braid,
     parse_word,
-    random_atom_word,
     to_artin_letters,
 )
 
@@ -49,7 +49,34 @@ def test_parse_basic_terms():
         (M, 2),
     ]
     assert parse_word("") == []
+    assert parse_braid("") == GarsideBraid()
     assert parse_word("   ") == []
+
+
+
+def test_word_letters_are_bounded():
+    # Rejected before anything of the word's size is built.
+    for text in ("a12^1000000000", "a13^-1000000000"):
+        with pytest.raises(ParseError, match="more than 10000 letters") as info:
+            parse_braid(text)
+        assert info.value.position == 0
+    assert MAX_WORD_LETTERS == 10_000
+    # A term counts |exponent| letters and d^e none, so this is at the limit.
+    half = MAX_WORD_LETTERS // 2
+    assert parse_word(f"a12^{half} d^-1000000000 c124^-{half}") == [
+        (S, half),
+        (Simple.DELTA, -1_000_000_000),
+        (Simple.C124, -half),
+    ]
+    x = parse_braid(f"a12^{MAX_WORD_LETTERS}")
+    assert x == GarsideBraid(0, (S,) * MAX_WORD_LETTERS)
+    with pytest.raises(ParseError) as info:
+        parse_word(f"a12^{MAX_WORD_LETTERS} d a13")
+    assert info.value.position == len(f"a12^{MAX_WORD_LETTERS} d ")
+    if sys.version_info >= (3, 11):
+        # An exponent longer than int() converts is a parse error, not a crash.
+        with pytest.raises(ParseError, match="too long"):
+            parse_word("d^" + "9" * 5000)
 
 
 def test_parse_aliases():
@@ -118,12 +145,3 @@ def test_to_artin_letters_frozen():
     assert to_artin_letters([(S, 2), (W, -1)]) == [1, 1, -2]
     assert to_artin_letters([]) == []
 
-
-def test_random_atom_word_shape():
-    rng = random.Random(4)
-    word = random_atom_word(rng, 25)
-    assert len(word) == 25
-    for simple, exp in word:
-        assert exp in (1, -1)
-        assert simple in (S, W, N, E, M, A)
-    assert braid_from_factors(0, []) == parse_braid("")
