@@ -25,7 +25,16 @@ factor tuples:
     order, and one with a smaller arrow among its prefixes is skipped.  If
     some element of SC(x) is rigid, SC(x) is exactly the set of rigid
     conjugates, so membership testing degenerates to a rigidity check;
-    otherwise a candidate is tested by running its sliding trajectory.
+    otherwise a candidate is tested by sliding it, with a memo kept for the
+    whole search.  Two sets of braids are kept: `inside` holds whole
+    sliding circuits only (the start's circuit, from the walk that finds
+    the start, and the circuit closed by every later walk), `outside` the
+    walks' pre-periodic tails.  A candidate in either set is answered at
+    once, and a walk that reaches either set at step 1 or later shows that
+    the candidate is not in SC(x): a periodic point's walk is its own
+    circuit, which would already be in `inside` with the candidate in it.
+    So cycling and tau images of members must not go into `inside`: their
+    circuits are not recorded.
   * Arrows are tested once per orbit, at its canonical representative (the
     member with the smallest factors).  Cycling and tau carry the arrows of
     one member to the arrows of any other, so only the targets of the
@@ -58,7 +67,7 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from bkl4.engine import (
     GarsideBraid,
@@ -77,6 +86,7 @@ from bkl4.simples import (
 )
 from bkl4.sliding import (
     _cycle_factors,
+    cyclic_sliding,
     final_factor,
     initial_factor,
     is_rigid,
@@ -140,17 +150,50 @@ def _sort_key(s: Simple) -> tuple[int, int]:
     return (WEIGHT[s], int(s))
 
 
-def _in_circuit(y: GarsideBraid, rigid_class: bool) -> bool:
-    if rigid_class:
-        return is_rigid(y)
-    return slide_to_circuit(y).cycle_start == 0
+def _membership(
+    circuits: Iterable[GarsideBraid], tails: Iterable[GarsideBraid] = ()
+) -> Callable[[GarsideBraid], bool]:
+    """SC membership in a class with no rigid element, memoized.
+
+    `circuits` must be a union of whole sliding circuits of the class and
+    `tails` braids of the class known not to be in SC.  The returned test
+    answers at once for a braid in either set; otherwise it slides, and
+    stops with False as soon as a step lands in either set.  Each walk adds
+    its circuit, if it closes one, to the first set and the rest of it to
+    the second.
+    """
+    inside = set(circuits)
+    outside = set(tails)
+
+    def member(t: GarsideBraid) -> bool:
+        if t in inside:
+            return True
+        if t in outside:
+            return False
+        seen = {t: 0}
+        steps = [t]
+        while True:
+            y = cyclic_sliding(steps[-1]).result
+            if y in inside or y in outside:
+                outside.update(steps)
+                return False
+            hit = seen.get(y)
+            if hit is not None:
+                inside.update(steps[hit:])
+                outside.update(steps[:hit])
+                return hit == 0
+            seen[y] = len(steps)
+            steps.append(y)
+
+    return member
 
 
 def _arrows(
-    y: GarsideBraid, rigid_class: bool
+    y: GarsideBraid, member: Callable[[GarsideBraid], bool]
 ) -> list[tuple[Simple, GarsideBraid]]:
     """The minimal arrows at y, an element of SC(y), each with its target
-    y^s, sorted by (weight, canonical index)."""
+    y^s, sorted by (weight, canonical index); `member` tests membership in
+    SC(y)."""
     if not y.factors:
         # Delta powers: y^s = y iff tau^p(s) = s, and SC(y) = {y}.
         twist = TAU_POWER[y.power % 4]
@@ -172,7 +215,7 @@ def _arrows(
         if any(a in DIVISORS[s] for a, _ in arrows):
             continue
         target = conjugate(y, GarsideBraid(0, (s,)))
-        if _in_circuit(target, rigid_class):
+        if member(target):
             arrows.append((s, target))
     return arrows
 
@@ -182,10 +225,13 @@ def minimal_arrows(y: GarsideBraid) -> tuple[Simple, ...]:
 
     Raises NotInCircuitError if y is not in its own sliding circuit set.
     """
-    rigid = is_rigid(y)
-    if y.factors and not _in_circuit(y, rigid):
-        raise NotInCircuitError(f"not in its sliding circuit set: {y!r}")
-    return tuple(s for s, _ in _arrows(y, rigid))
+    member = is_rigid
+    if y.factors and not is_rigid(y):
+        entry = slide_to_circuit(y)
+        if entry.cycle_start:
+            raise NotInCircuitError(f"not in its sliding circuit set: {y!r}")
+        member = _membership(entry.steps)
+    return tuple(s for s, _ in _arrows(y, member))
 
 
 class Orbit:
@@ -413,6 +459,10 @@ def compute_sc(
     start = entry.representative
     power = start.power
     rigid_class = is_rigid(start)
+    member = is_rigid
+    if not rigid_class:
+        c = entry.cycle_start
+        member = _membership(entry.steps[c:], entry.steps[:c])
     stop = None
     if stop_at is not None and stop_at.power == power:
         stop = stop_at.factors
@@ -448,7 +498,7 @@ def compute_sc(
         return result(False)
     for orbit in orbits:  # grows while the search runs
         rep = orbit.representative
-        orbit.arrows = tuple(_arrows(rep, rigid_class))
+        orbit.arrows = tuple(_arrows(rep, member))
         for s, target in orbit.arrows:
             if target.power != power:
                 raise RuntimeError(
@@ -476,11 +526,13 @@ def circuit_graph(
     if not sc.complete:
         raise ValueError("the circuit graph needs a complete SC set")
     elements = sc.elements
+    # SC is the union of its sliding circuits.
+    member = is_rigid if sc.rigid else _membership(elements)
     arrows_at: dict[GarsideBraid, tuple[tuple[Simple, GarsideBraid], ...]] = {}
     for y in elements:
         if y in arrows_at:
             continue
-        arrows = _arrows(y, sc.rigid)
+        arrows = _arrows(y, member)
         for k, twist in enumerate(TAU_POWER):
             image = tau_braid(y, k)
             if image not in arrows_at:

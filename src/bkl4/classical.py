@@ -176,19 +176,33 @@ def classical_is_trivial(letters: Iterable[int]) -> bool:
 
 
 def _self_check() -> None:
-    for i in (1, 2, 3):
-        s = _SIGMA[i]
-        assert _mult(s, s) == IDENT
-        assert _mult(s, _complement(s)) == REVERSAL
-    # Delta = sigma1 sigma2 sigma1 sigma3 sigma2 sigma1 (one reduced word).
-    assert classical_normalize([1, 2, 1, 3, 2, 1]) == ClassicalNF(1, ())
-    assert classical_normalize([1, -1]) == ClassicalNF(0, ())
-    assert classical_normalize([-2, 1, 2, -2, -1, 2]) == ClassicalNF(0, ())
-    for u, v in itertools.product(_ALL_PERMS, _ALL_PERMS):
-        nu, nv = _RENORM[u, v]
-        # The product and the letter count are preserved by renormalization.
-        assert _mult(nu, nv) == _mult(u, v)
-        assert _descents(nv) <= _descents(_inverse(nu))
+    """Check the permutation arithmetic; raises RuntimeError naming every
+    law that fails."""
+    sigmas = [_SIGMA[i] for i in (1, 2, 3)]
+    pairs = [
+        (u, v, *_RENORM[u, v]) for u, v in itertools.product(_ALL_PERMS, _ALL_PERMS)
+    ]
+    laws = {
+        "sigma_i is an involution": all(_mult(s, s) == IDENT for s in sigmas),
+        "sigma_i * complement(sigma_i) = Delta": all(
+            _mult(s, _complement(s)) == REVERSAL for s in sigmas
+        ),
+        # Delta = sigma1 sigma2 sigma1 sigma3 sigma2 sigma1 (one reduced word).
+        "s1 s2 s1 s3 s2 s1 = Delta": classical_normalize([1, 2, 1, 3, 2, 1])
+        == ClassicalNF(1, ()),
+        "s1 s1^-1 = 1": classical_normalize([1, -1]) == ClassicalNF(0, ()),
+        "s2^-1 s1 s2 s2^-1 s1^-1 s2 = 1": classical_normalize([-2, 1, 2, -2, -1, 2])
+        == ClassicalNF(0, ()),
+        "renormalization keeps the product": all(
+            _mult(nu, nv) == _mult(u, v) for u, v, nu, nv in pairs
+        ),
+        "renormalized pairs are left-weighted": all(
+            _descents(nv) <= _descents(_inverse(nu)) for _, _, nu, nv in pairs
+        ),
+    }
+    failed = [law for law, holds in laws.items() if not holds]
+    if failed:
+        raise RuntimeError("classical oracle breaks: " + "; ".join(failed))
 
 
 _self_check()

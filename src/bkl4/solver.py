@@ -4,15 +4,19 @@ solver: the conjugacy decision and search problem.
 `solve_conjugacy(x, y)` decides whether x and y are conjugate and, when they
 are, produces a verified certificate z with x = z^-1 y z.  The strategy:
 
-  1. Cheap invariants first: the weight homomorphism (lambda), then
-     periodicity type, then the (inf, sup, k1, k2) data of the sliding
-     circuit representatives — all conjugacy invariants, so any mismatch is a
-     sound NotConjugate.
-  2. General path: enumerate SC(x) breadth-first, stopping as soon as y's
-     circuit representative appears.  SC is a complete invariant: if the full
-     set is enumerated without meeting it, the braids are not conjugate.
-     When the class has a rigid conjugate this search tests membership by
-     rigidity alone and is fast.
+  1. Cheap invariants first: the weight homomorphism (lambda); then both
+     braids slide to their circuit representatives rx and ry, once each, and
+     the periodicity type and the (inf, sup, k1, k2) data are compared on
+     rx and ry — all conjugacy invariants, so any mismatch is a sound
+     NotConjugate.  rx and ry are mostly much shorter than the presented
+     braids, so periodicity is tested on them.
+  2. General path: search SC(rx) one tau/cycling orbit at a time from rx,
+     stopping as soon as ry appears.  SC is a complete invariant: if the
+     full set is enumerated without meeting it, the braids are not
+     conjugate.  When the class has a rigid conjugate this search tests
+     membership by rigidity alone and is fast; otherwise by memoized
+     sliding walks.  With x^zx = rx, y^zy = ry and rx^g = ry the
+     certificate is zy (zx g)^-1.
   3. Optional pseudo-Anosov powering path (`assume_pa=True`): find the
      smallest i <= 26 making x^i (resp. y^j) conjugate to a rigid braid,
      raise both to s = lcm(i, j), and search the small rigid set
@@ -45,7 +49,7 @@ from bkl4.engine import (
     multiply,
     power,
 )
-from bkl4.sliding import is_rigid, slide_to_circuit
+from bkl4.sliding import SlidingTrajectory, is_rigid, slide_to_circuit
 
 __all__ = [
     "CONJUGATE",
@@ -132,20 +136,22 @@ def power_to_rigid(
 def _search(
     x: GarsideBraid,
     y: GarsideBraid,
-    y_rep: GarsideBraid,
-    zy: GarsideBraid,
+    tx: SlidingTrajectory,
+    ty: SlidingTrajectory,
     cap: int | None,
 ) -> SolverDecision:
-    """General path: hunt y's circuit representative inside SC(x)."""
+    """General path: hunt y's circuit representative inside SC(x), from x's."""
+    ry = ty.representative
     try:
-        sc = compute_sc(x, cap=cap, stop_at=y_rep)
+        sc = compute_sc(tx.representative, cap=cap, stop_at=ry)
     except CapExceededError:
         return SolverDecision(INCONCLUSIVE, reason="cap-exceeded")
-    g = sc.conjugators.get(y_rep)
+    g = sc.conjugators.get(ry)
     if g is None:
         return SolverDecision(NOT_CONJUGATE, reason="disjoint-SC")
-    # x^g = y_rep = y^zy, so x = y^(zy g^-1).
-    return _conjugate_decision(x, y, multiply(zy, invert(g)))
+    # x^(zx g) = ry = y^zy, so x = y^(zy (zx g)^-1).
+    zx, zy = tx.accumulated_conjugator, ty.accumulated_conjugator
+    return _conjugate_decision(x, y, multiply(zy, invert(multiply(zx, g))))
 
 
 def solve_conjugacy(
@@ -161,10 +167,10 @@ def solve_conjugacy(
     ix, iy = invariants(x), invariants(y)
     if ix.weight != iy.weight:
         return SolverDecision(NOT_CONJUGATE, reason="lambda-mismatch")
-    if is_periodic(x) != is_periodic(y):
-        return SolverDecision(NOT_CONJUGATE, reason="type-mismatch")
     tx, ty = slide_to_circuit(x), slide_to_circuit(y)
     rx, ry = tx.representative, ty.representative
+    if is_periodic(rx) != is_periodic(ry):
+        return SolverDecision(NOT_CONJUGATE, reason="type-mismatch")
     irx, iry = invariants(rx), invariants(ry)
     if (irx.inf, irx.sup, irx.k1, irx.k2) != (iry.inf, iry.sup, iry.k1, iry.k2):
         return SolverDecision(NOT_CONJUGATE, reason="type-mismatch")
@@ -172,7 +178,7 @@ def solve_conjugacy(
         decision = _solve_by_powering(x, y, cap)
         if decision is not None:
             return decision
-    return _search(x, y, ry, ty.accumulated_conjugator, cap)
+    return _search(x, y, tx, ty, cap)
 
 
 def _solve_by_powering(

@@ -17,10 +17,10 @@ element, i.e. it is interchangeable with the fixed atom factorization
 (c123 = a12.a23, c234 = a23.a34, c134 = a34.a14, c124 = a14.a12,
 p12-34 = a34.a12, p14-23 = a14.a23).
 
-A word may have at most MAX_WORD_LETTERS letters: a term other than 'd'
-counts |exponent| letters (normalizing spells each of them out), and 'd^e'
-counts none.  `parse_word` rejects a longer word before it builds anything of
-that size.
+A word may have at most MAX_WORD_LETTERS letters: a term counts |exponent|
+letters (normalizing spells each of them out), 'd^e' included, so the power
+of delta of every normal form it gives prints as a short integer.
+`parse_word` rejects a longer word before it builds anything of that size.
 
 `format_braid` writes a normal form as 'd^p . f1 . f2 ...' using canonical
 factor names; its output parses back to the same braid.
@@ -118,12 +118,9 @@ def parse_word(text: str) -> list[Letter]:
             e = int(exp) if exp is not None else 1
         except ValueError:  # more digits than int() converts
             raise ParseError(f"exponent of {name!r} is too long", position) from None
-        if simple != Simple.DELTA:
-            count += abs(e)
-            if count > MAX_WORD_LETTERS:
-                raise ParseError(
-                    f"word has more than {MAX_WORD_LETTERS} letters", position
-                )
+        count += abs(e)
+        if count > MAX_WORD_LETTERS:
+            raise ParseError(f"word has more than {MAX_WORD_LETTERS} letters", position)
         letters.append((simple, e))
     return letters
 

@@ -25,8 +25,8 @@ from bkl4.engine import (
     power,
     random_braid,
 )
-from bkl4.simples import ATOMS, COMPLEMENT, WEIGHT, Simple
-from bkl4.sliding import is_rigid, slide_to_circuit
+from bkl4.simples import ATOMS, COMPLEMENT, DIVISORS, WEIGHT, Simple
+from bkl4.sliding import final_factor, initial_factor, is_rigid, slide_to_circuit
 from bkl4.words import beta_braid
 from reference_sc import orbit_partition
 
@@ -256,8 +256,8 @@ def test_arrow_target_with_another_power_is_an_error(monkeypatch):
     # must stop rather than take the target for a new element.
     real = circuits._arrows
 
-    def shifted(y, rigid_class):
-        return [(s, GarsideBraid(t.power + 1, t.factors)) for s, t in real(y, rigid_class)]
+    def shifted(y, member):
+        return [(s, GarsideBraid(t.power + 1, t.factors)) for s, t in real(y, member)]
 
     monkeypatch.setattr(circuits, "_arrows", shifted)
     with pytest.raises(RuntimeError, match="power"):
@@ -310,6 +310,44 @@ def test_sc_is_a_conjugacy_invariant_with_valid_conjugators(x, w):
     assert [o.members for o in conjugated.orbits] == [o.members for o in sc.orbits]
     for element, z in conjugated.conjugators.items():
         assert conjugate(conjugated.base, z) == element
+
+
+def _non_rigid_class(seed: int) -> GarsideBraid:
+    """The first braid drawn from `seed` whose circuit representative has
+    factors and is not rigid."""
+    rng = random.Random(seed)
+    while True:
+        x = random_braid(rng, rng.randrange(2, 8), rng.randrange(-2, 3))
+        rep = slide_to_circuit(x).representative
+        if rep.factors and not is_rigid(rep):
+            return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_memoized_membership_matches_sliding_walks(seed):
+    x = _non_rigid_class(seed)
+    # Seeded as compute_sc seeds it, then asked about every arrow candidate
+    # of every orbit representative, about every element of SC(x), most of
+    # which are cycling and tau images whose circuits are not recorded, and
+    # about random conjugates of x and the braids on their sliding walks.
+    entry = slide_to_circuit(x)
+    c = entry.cycle_start
+    member = circuits._membership(entry.steps[c:], entry.steps[:c])
+    sc = compute_sc(x)
+    for orbit in sc.orbits:
+        y = orbit.representative
+        candidates = (
+            DIVISORS[initial_factor(y)] | DIVISORS[COMPLEMENT[final_factor(y)]]
+        ) - {Simple.ONE}
+        for s in sorted(candidates):
+            t = conjugate(y, GarsideBraid(0, (s,)))
+            assert member(t) == (slide_to_circuit(t).cycle_start == 0), (y, s)
+    assert all(member(y) for y in sc)
+    w = random_braid(random.Random(seed), 3, 0)
+    walk = slide_to_circuit(conjugate(x, w)).steps
+    for t in walk + walk:
+        assert member(t) == (slide_to_circuit(t).cycle_start == 0), t
 
 
 def test_sc_of_random_conjugates_matches_base():

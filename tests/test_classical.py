@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from bkl4 import classical
 from bkl4.classical import (
     IDENT,
     REVERSAL,
@@ -85,3 +86,12 @@ def test_inverse_words_are_trivial():
         assert classical_is_trivial(word + [-g for g in reversed(word)])
         nf = classical_normalize(word)
         assert 0 <= nf.canonical_length <= len(word)
+
+
+def test_self_check_raises_on_a_broken_table(monkeypatch):
+    # A plain raise, not an assert, so the check also runs under python -O.
+    classical._self_check()
+    unrenormalized = {pair: pair for pair in classical._RENORM}
+    monkeypatch.setattr(classical, "_RENORM", unrenormalized)
+    with pytest.raises(RuntimeError, match="renormalized pairs are left-weighted"):
+        classical._self_check()

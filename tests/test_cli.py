@@ -186,6 +186,19 @@ def test_word_over_the_letter_bound(capsys):
     assert "more than 10000 letters" in err
 
 
+def test_delta_powers_count_toward_the_letter_bound(capsys):
+    # Two 4,300-digit delta exponents convert, but their sum could not be
+    # printed; the letter bound rejects the word first.
+    n = "9" * 4300
+    code, out, err = run(capsys, "nf", "--json", f"d^{n} d^{n}")
+    assert code == 2
+    data = json.loads(out)
+    assert data["outcome"] == "error" and data["reason"] == "parse-error"
+    assert "more than 10000 letters" in data["message"]
+    code, out, err = run(capsys, "nf", "--json", "d^5000 d^-5000")
+    assert code == 0 and json.loads(out)["nf"] == "d^0"
+
+
 def test_conj_conjugate(capsys):
     code, out, err = run(capsys, "conj", "a12", "a24")
     assert code == 0

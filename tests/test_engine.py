@@ -227,3 +227,20 @@ def test_multiply_agrees_with_the_classical_oracle(u, v):
     assert classical_normalize(to_artin_letters(spelled)) == classical_normalize(
         to_artin_letters(u) + to_artin_letters(v)
     )
+
+
+_normal_forms = st.builds(
+    lambda seed, length, inf: random_braid(random.Random(seed), length, inf),
+    st.integers(0, 2**32),
+    st.integers(0, 8),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_normal_forms, y=_normal_forms, z=_normal_forms, k=st.integers(-5, 5))
+def test_group_laws_on_normal_forms(x, y, z, k):
+    assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+    assert multiply(x, invert(x)) == IDENTITY
+    assert tau_braid(x, 4) == x
+    assert tau_braid(multiply(x, y), k) == multiply(tau_braid(x, k), tau_braid(y, k))

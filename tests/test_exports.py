@@ -1,12 +1,15 @@
 """The export lists: every name in a module's `__all__` is that module's own,
 and every name the package root exports is one of them.  Tools that look up
-each `__all__` name with getattr rely on both."""
+each `__all__` name with getattr rely on both.  The library's soundness
+checks are raises, never `assert` statements, which `python -O` strips."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import bkl4
 
@@ -39,3 +42,12 @@ def test_root_exports_come_from_module_exports():
             name in getattr(m, "__all__", ()) and getattr(m, name) is value
             for m in MODULES
         ), name
+
+
+def test_library_has_no_assert_statements():
+    sources = sorted(Path(bkl4.__file__).parent.glob("*.py"))
+    assert len(sources) == len(MODULES) + 1  # and __init__.py
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"

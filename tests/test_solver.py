@@ -18,7 +18,7 @@ from bkl4.engine import (
     random_braid,
 )
 from bkl4.simples import Simple
-from bkl4.sliding import slide_to_circuit
+from bkl4.sliding import is_rigid, slide_to_circuit
 from bkl4.solver import (
     CONJUGATE,
     INCONCLUSIVE,
@@ -29,7 +29,7 @@ from bkl4.solver import (
     solve_conjugacy,
     verify_certificate,
 )
-from bkl4.words import beta_braid
+from bkl4.words import beta_braid, parse_braid
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -207,3 +207,62 @@ def test_conjugates_are_never_called_not_conjugate(x, w):
     assert decision.outcome != NOT_CONJUGATE
     if decision.outcome == CONJUGATE:
         assert verify_certificate(decision.certificate)
+
+
+def test_long_conjugates_are_solved_from_their_circuit_representatives():
+    # The presented braids are long conjugates; the solver works from their
+    # short circuit representatives and must still certify every hit.
+    rng = random.Random(2012)
+    # A non-rigid class, and the class of its reversal: same circuit data,
+    # disjoint SC sets.
+    forward = parse_braid("p12-34.c123.a23.a23.a12.a13.a13")
+    backward = parse_braid("a13.a13.a12.a23.a23.c123.p12-34")
+    c123, p12_34 = GarsideBraid(0, (Simple.C123,)), GarsideBraid(0, (Simple.P12_34,))
+    bases = [
+        # (x, y, rigid class, conjugate)
+        (beta_braid(2), beta_braid(2), True, True),
+        (c123, p12_34, True, False),
+        (forward, forward, False, True),
+        (forward, backward, False, False),
+    ]
+    for x, y, rigid, conjugate_pair in bases:
+        assert is_rigid(slide_to_circuit(x).representative) == rigid
+        for _ in range(4):
+            u = random_braid(rng, rng.randrange(8, 13), rng.randrange(-2, 3))
+            w = random_braid(rng, rng.randrange(8, 13), rng.randrange(-2, 3))
+            long_x, long_y = conjugate(x, u), conjugate(y, w)
+            rep = slide_to_circuit(long_x).representative
+            assert long_x.canonical_length > rep.canonical_length
+            decision = solve_conjugacy(long_x, long_y)
+            if conjugate_pair:
+                assert decision.outcome == CONJUGATE
+                cert = decision.certificate
+                assert (cert.x, cert.y) == (long_x, long_y)
+                assert verify_certificate(cert)
+            else:
+                assert decision.outcome == NOT_CONJUGATE
+                assert decision.reason == "disjoint-SC"
+
+
+# Periodic braids are the conjugates of the powers of delta and of
+# delta.a12; the others here are random.
+_periodic_or_not = st.one_of(
+    _braids,
+    st.builds(
+        lambda root, e: power(root, e),
+        st.sampled_from([GarsideBraid(1, ()), GarsideBraid(1, (S,))]),
+        st.integers(-6, 6),
+    ),
+)
+_long_conjugators = st.builds(
+    lambda seed, length, inf: random_braid(random.Random(seed), length, inf),
+    st.integers(0, 2**32),
+    st.integers(3, 8),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_periodic_or_not, w=_long_conjugators)
+def test_periodicity_is_a_conjugacy_invariant(x, w):
+    assert is_periodic(conjugate(x, w)) == is_periodic(x)

@@ -61,18 +61,21 @@ def test_word_letters_are_bounded():
             parse_braid(text)
         assert info.value.position == 0
     assert MAX_WORD_LETTERS == 10_000
-    # A term counts |exponent| letters and d^e none, so this is at the limit.
+    # A term counts |exponent| letters, d^e included, so this is at the limit.
     half = MAX_WORD_LETTERS // 2
-    assert parse_word(f"a12^{half} d^-1000000000 c124^-{half}") == [
-        (S, half),
-        (Simple.DELTA, -1_000_000_000),
+    assert parse_word(f"a12^{half - 3} d^-3 c124^-{half}") == [
+        (S, half - 3),
+        (Simple.DELTA, -3),
         (Simple.C124, -half),
     ]
+    with pytest.raises(ParseError, match="more than 10000 letters") as info:
+        parse_word(f"a12^{half} d^-1000000000 c124^-{half}")
+    assert info.value.position == len(f"a12^{half} ")
     x = parse_braid(f"a12^{MAX_WORD_LETTERS}")
     assert x == GarsideBraid(0, (S,) * MAX_WORD_LETTERS)
     with pytest.raises(ParseError) as info:
         parse_word(f"a12^{MAX_WORD_LETTERS} d a13")
-    assert info.value.position == len(f"a12^{MAX_WORD_LETTERS} d ")
+    assert info.value.position == len(f"a12^{MAX_WORD_LETTERS} ")
     if sys.version_info >= (3, 11):
         # An exponent longer than int() converts is a parse error, not a crash.
         with pytest.raises(ParseError, match="too long"):
