@@ -8,16 +8,29 @@ complete conjugacy-class invariant.  It lies in the ultra summit set, so all
 of its elements have the same power of delta and the same canonical length,
 and tau (conjugation by delta) and cycling permute it.  Their orbits
 O(y) = {tau^k(c^j(y))} partition it.  This module computes SC(x) one orbit at
-a time, starting from the circuit representative of x, and searches on plain
-factor tuples:
+a time, starting from the circuit representative of x, at the shared power:
 
-  * The set is one dict {factors: orbit} at the shared power.
-  * Each newly found element seeds an orbit.  Cycling is walked on the
-    seed's factors until it comes back to the seed; a step at a rigid
-    element rotates the factors, any other step renormalizes them.  tau
-    commutes with cycling, so the orbit is the walk and its twists by tau,
-    tau^2 and tau^3, and each twist is the walk of tau^k(seed): either one
+  * Each newly found element seeds an orbit: the cycling walk from the seed
+    back to itself and its twists by tau, tau^2 and tau^3.  tau commutes
+    with cycling, so each twist is the walk of tau^k(seed): either one
     already in the orbit or disjoint from it.
+  * In a rigid class (see below) an orbit is kept as one key, and no member
+    is stored.  Cycling a rigid element with factors x1 ... xr moves x1 to
+    the end as u(x1), u = tau^-p, and the result is rigid again.  So the
+    walk from a seed f is the set of length-r windows of the cyclic word
+    W = f . u(f) . u^2(f) . u^3(f) (tau^4 = 1).  Each letter of W is u of
+    the one r places before it, so a window fixes all of W: the walk has
+    d members, d the smallest rotation period of W, and two twists of W
+    either are rotations of each other or share no window.  The orbit keeps
+    the m twists of W that are not rotations of one another, as bytes, and
+    has m*d members.  Its key is the least window over them (its smallest
+    member), and the set is one dict {key: orbit}.  An arrow target is
+    looked for first in the words of the orbit it leaves and of that
+    orbit's parent, by substring search, and only the others get a key.
+    Members, membership, conjugators and the circuit graph read windows off
+    the words: a member's position j in the walk is a `bytes.find`.
+  * In any other class cycling renormalizes, so an orbit keeps its members'
+    factor tuples, and the set is one dict {factors: orbit}.
   * An *arrow* at y in SC(x) is a nontrivial simple s with y^s in SC(x); it is
     *minimal* when the only prefixes t of s with y^t in SC(x) are 1 and s.
     Minimal arrows are always prefixes of iota(y) or complement(phi(y)), so
@@ -110,6 +123,12 @@ __all__ = [
 DEFAULT_CAP = 10**6
 
 Factors = tuple[Simple, ...]
+# How an orbit holds a member's factors: bytes in a rigid class, else a tuple.
+Member = bytes | Factors
+
+# _TWIST[k] translates bytes of simples by tau^k.
+_TWIST = tuple(bytes(row) + bytes(range(len(row), 256)) for row in TAU_POWER)
+_SIMPLES = tuple(Simple)
 
 
 class CapExceededError(RuntimeError):
@@ -238,43 +257,39 @@ class Orbit:
     """One tau/cycling orbit inside an SC set.
 
     `members` lists its elements in canonical order (the representative
-    first); `arrows` holds the minimal arrows at the representative, each
-    with its target element, in (weight, canonical index) order.
+    first), built when it is read; `arrows` holds the minimal arrows at the
+    representative, each with its target element, in (weight, canonical
+    index) order.
     """
 
     __slots__ = (
         "arrows",
+        "_targets",
         "_power",
-        "_factors",
-        "_walk",
-        "_least",
-        "_members",
+        "_seed",
+        "_key",
         "_parent",
         "_arrow",
-        "_steps",
         "_walk_conjugators",
     )
 
     def __init__(
         self,
         power: int,
-        seed: Factors,
+        seed: Member,
         parent: Orbit | None,
         arrow: Simple,
         seed_conjugator: GarsideBraid | None = None,
     ) -> None:
         self.arrows: tuple[tuple[Simple, GarsideBraid], ...] = ()
+        # The orbit each arrow leads to, in the order of `arrows`.
+        self._targets: list[Orbit] = []
         self._power = power
-        # The cycling walk from the seed, then the twists of it that are new.
-        self._factors = [seed]
-        self._walk = 1
-        self._least = seed
-        self._members: tuple[GarsideBraid, ...] | None = None
+        self._seed = seed
         # The seed is parent.representative^arrow; without a parent it is the
         # search start, whose conjugator is given.
         self._parent = parent
         self._arrow = arrow
-        self._steps: dict[Factors, tuple[int, int]] | None = None
         # {j: conjugator of c^j(seed)} for the walk positions built so far.
         self._walk_conjugators: dict[int, GarsideBraid] = {}
         if seed_conjugator is not None:
@@ -282,66 +297,24 @@ class Orbit:
 
     @property
     def members(self) -> tuple[GarsideBraid, ...]:
-        if self._members is None:
-            p = self._power
-            self._members = tuple(GarsideBraid(p, f) for f in sorted(self._factors))
-        return self._members
+        p, factors = self._power, self._factors
+        return tuple(GarsideBraid(p, factors(m)) for m in sorted(self._walk_order()))
 
     @property
     def representative(self) -> GarsideBraid:
-        return GarsideBraid(self._power, self._least)
-
-    @property
-    def size(self) -> int:
-        return len(self._factors)
+        return GarsideBraid(self._power, self._factors(self._key))
 
     def __contains__(self, y: object) -> bool:
         return (
             isinstance(y, GarsideBraid)
             and y.power == self._power
-            and y.factors in self._factors
+            and len(y.factors) == len(self._seed)
+            and self._holds(self._member(y.factors))
         )
 
-    def _close(self, index: dict[Factors, Orbit], cap: int) -> None:
-        """Find every member from the seed, which `index` already holds, and
-        add them to `index`; raise CapExceededError past `cap` elements.
-
-        SC lies in the ultra summit set, where cycling is periodic, so the
-        walk comes back to the seed.
-        """
-        walk = self._factors
-        seed = walk[0]
-        room = cap - len(index)
-        if seed:
-            extra, f = _cycle_factors(self._power, seed)
-            while f != seed:
-                if extra:
-                    raise RuntimeError(f"cycling left the super summit set: {f!r}")
-                if len(walk) > room:
-                    raise CapExceededError(cap)
-                walk.append(f)
-                extra, f = _cycle_factors(self._power, f)
-        self._walk = len(walk)
-        index.update(dict.fromkeys(walk, self))
-        for twist in TAU_POWER[1:]:
-            if tuple(map(twist.__getitem__, seed)) in index:
-                continue  # this twist of the walk is the walk of a member
-            if len(index) + self._walk > cap:
-                raise CapExceededError(cap)
-            twisted = [tuple(map(twist.__getitem__, f)) for f in walk[: self._walk]]
-            index.update(dict.fromkeys(twisted, self))
-            walk.extend(twisted)
-        self._least = min(walk)
-
-    def _conjugator(self, factors: Factors) -> GarsideBraid:
-        """z with base^z the member with these factors."""
-        if self._steps is None:
-            steps: dict[Factors, tuple[int, int]] = {}
-            for j, f in enumerate(self._factors[: self._walk]):
-                for k, twist in enumerate(TAU_POWER):
-                    steps.setdefault(tuple(map(twist.__getitem__, f)), (j, k))
-            self._steps = steps
-        j, k = self._steps[factors]
+    def _conjugator(self, member: Member) -> GarsideBraid:
+        """z with base^z the member."""
+        j, k = self._position(member)
         z = self._walk_conjugator(j)
         return multiply(z, GarsideBraid(k)) if k else z
 
@@ -359,17 +332,162 @@ class Orbit:
                 orbit = orbit._parent
             for orbit in reversed(chain):
                 parent = orbit._parent
-                z = parent._conjugator(parent._least)
+                z = parent._conjugator(parent._key)
                 orbit._walk_conjugators[0] = braid_from_factors(
                     z.power, z.factors + (orbit._arrow,)
                 )
         i = max(i for i in built if i <= j)
         z = built[i]
         if i < j:
-            untwist = TAU_POWER[-self._power % 4]
-            iotas = tuple(untwist[f[0]] for f in self._factors[i:j])
-            z = built[j] = braid_from_factors(z.power, z.factors + iotas)
+            z = built[j] = braid_from_factors(z.power, z.factors + self._iotas(i, j))
         return z
+
+
+class _RigidOrbit(Orbit):
+    """An orbit of a rigid class, kept as the cyclic word of its seed.
+
+    Members are bytes of factors.  With u = tau^-p, cycling a rigid member
+    moves its first factor f1 to the end as u(f1), so c^j(seed) is the
+    window of length r at position j of the cyclic word
+    W = seed . u(seed) . u^2(seed) . u^3(seed) (u has order dividing 4).  A
+    window fixes the whole word, as each letter is u of the one r places
+    before it; so the walk has the smallest rotation period d of W as its
+    length, and the twists tau^k(W) are rotations of each other or share no
+    window.  The orbit keeps the twists that are not rotations of one
+    another, each doubled so that every window is a substring, and its key,
+    the least window over them, which is its smallest member.
+    """
+
+    __slots__ = ("_words", "_period")
+
+    _member = staticmethod(bytes)
+
+    def __init__(
+        self,
+        power: int,
+        seed: bytes,
+        parent: Orbit | None,
+        arrow: Simple,
+        seed_conjugator: GarsideBraid | None = None,
+    ) -> None:
+        super().__init__(power, seed, parent, arrow, seed_conjugator)
+        u = -self._power % 4
+        word = b"".join(seed.translate(_TWIST[i * u % 4]) for i in range(4))
+        doubled = word + word
+        self._period = doubled.find(word, 1)
+        self._words = [doubled]
+        for twist in _TWIST[1:]:
+            if not self._holds(seed.translate(twist)):
+                self._words.append(doubled.translate(twist))
+        r, d = len(seed), self._period
+        self._key = min(w[j : j + r] for w in self._words for j in range(d))
+
+    @staticmethod
+    def _factors(member: bytes) -> Factors:
+        return tuple(map(_SIMPLES.__getitem__, member))
+
+    @property
+    def size(self) -> int:
+        return len(self._words) * self._period
+
+    def _lookup(self, index: dict[bytes, Orbit]) -> Orbit | None:
+        return index.get(self._key)
+
+    def _close(self, index: dict[bytes, Orbit], room: int, cap: int) -> None:
+        if self.size > room:
+            raise CapExceededError(cap)
+        index[self._key] = self
+
+    def _holds(self, member: bytes) -> bool:
+        return any(member in w for w in self._words)
+
+    def _walk_order(self) -> Iterator[bytes]:
+        r = len(self._seed)
+        return (w[j : j + r] for w in self._words for j in range(self._period))
+
+    def _position(self, member: bytes) -> tuple[int, int]:
+        doubled = self._words[0]
+        positions = []
+        for k, twist in enumerate(_TWIST):
+            j = doubled.translate(twist).find(member)
+            if j >= 0:
+                positions.append((j, k))
+        return min(positions)
+
+    def _iotas(self, i: int, j: int) -> Factors:
+        # iota(c^i(seed)) = u(W[i]) = W[i + r].
+        r = len(self._seed)
+        return self._factors(self._words[0][i + r : j + r])
+
+
+class _CyclingOrbit(Orbit):
+    """An orbit of a class with no rigid element, kept as its members'
+    factors: the cycling walk from the seed back to itself, which
+    renormalizes, then its tau twists that are new."""
+
+    __slots__ = ("_members", "_walk", "_steps")
+
+    _member = staticmethod(tuple)
+    _factors = staticmethod(tuple)
+
+    @property
+    def size(self) -> int:
+        return len(self._members)
+
+    def _lookup(self, index: dict[Factors, Orbit]) -> Orbit | None:
+        return index.get(self._seed)
+
+    def _close(self, index: dict[Factors, Orbit], room: int, cap: int) -> None:
+        """Find every member from the seed and add them to `index`; raise
+        CapExceededError past `room` members.
+
+        SC lies in the ultra summit set, where cycling is periodic, so the
+        walk comes back to the seed.
+        """
+        seed = self._seed
+        walk = [seed]
+        if seed:
+            extra, f = _cycle_factors(self._power, seed)
+            while f != seed:
+                if extra:
+                    raise RuntimeError(f"cycling left the super summit set: {f!r}")
+                if len(walk) >= room:
+                    raise CapExceededError(cap)
+                walk.append(f)
+                extra, f = _cycle_factors(self._power, f)
+        if len(walk) > room:
+            raise CapExceededError(cap)
+        members = dict.fromkeys(walk)
+        for twist in TAU_POWER[1:]:
+            if tuple(map(twist.__getitem__, seed)) in members:
+                continue  # this twist of the walk is the walk of a member
+            if len(members) + len(walk) > room:
+                raise CapExceededError(cap)
+            members.update(dict.fromkeys(tuple(map(twist.__getitem__, f)) for f in walk))
+        self._members = members
+        self._walk = walk
+        self._steps: dict[Factors, tuple[int, int]] | None = None
+        self._key = min(members)
+        index.update(dict.fromkeys(members, self))
+
+    def _holds(self, member: Factors) -> bool:
+        return member in self._members
+
+    def _walk_order(self) -> Iterator[Factors]:
+        return iter(self._members)
+
+    def _position(self, member: Factors) -> tuple[int, int]:
+        if self._steps is None:
+            steps: dict[Factors, tuple[int, int]] = {}
+            for j, f in enumerate(self._walk):
+                for k, twist in enumerate(TAU_POWER):
+                    steps.setdefault(tuple(map(twist.__getitem__, f)), (j, k))
+            self._steps = steps
+        return self._steps[member]
+
+    def _iotas(self, i: int, j: int) -> Factors:
+        untwist = TAU_POWER[-self._power % 4]
+        return tuple(untwist[f[0]] for f in self._walk[i:j])
 
 
 class _Conjugators(Mapping):
@@ -379,30 +497,54 @@ class _Conjugators(Mapping):
     conjugators the orbit keeps.
     """
 
-    __slots__ = ("_power", "_index")
+    __slots__ = ("_start", "_kind", "_index", "_found", "_size")
 
-    def __init__(self, power: int, index: dict[Factors, Orbit]) -> None:
-        self._power = power
+    def __init__(
+        self,
+        start: GarsideBraid,
+        kind: type[Orbit],
+        index: dict,
+        found: tuple[Orbit, ...],
+        size: int,
+    ) -> None:
+        self._start = start
+        self._kind = kind
         self._index = index
+        self._found = found
+        self._size = size
+
+    def _locate(self, element: object) -> tuple[Orbit, Member] | None:
+        """The orbit of an element of the set, with the element as a member."""
+        start = self._start
+        if not (
+            isinstance(element, GarsideBraid)
+            and element.power == start.power
+            and len(element.factors) == len(start.factors)
+        ):
+            return None
+        member = self._kind._member(element.factors)
+        orbit = self._kind(start.power, member, None, Simple.ONE)._lookup(self._index)
+        return None if orbit is None else (orbit, member)
 
     def __getitem__(self, element: GarsideBraid) -> GarsideBraid:
-        if element not in self:
+        found = self._locate(element)
+        if found is None:
             raise KeyError(element)
-        return self._index[element.factors]._conjugator(element.factors)
+        orbit, member = found
+        return orbit._conjugator(member)
 
     def __contains__(self, element: object) -> bool:
-        return (
-            isinstance(element, GarsideBraid)
-            and element.power == self._power
-            and element.factors in self._index
-        )
+        return self._locate(element) is not None
 
     def __iter__(self) -> Iterator[GarsideBraid]:
-        p = self._power
-        return (GarsideBraid(p, f) for f in self._index)
+        p = self._start.power
+        for orbit in self._found:
+            factors = orbit._factors
+            for member in orbit._walk_order():
+                yield GarsideBraid(p, factors(member))
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._size
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -423,7 +565,6 @@ class SCSet:
     rigid: bool
     orbits: tuple[Orbit, ...]
     complete: bool
-    _orbit_of: dict[Factors, Orbit] = field(repr=False)
 
     @property
     def elements(self) -> tuple[GarsideBraid, ...]:
@@ -449,8 +590,8 @@ def compute_sc(
     """Compute SC(x) orbit by orbit from its circuit representative.
 
     If `stop_at` is given, the search returns with `complete=False` as soon
-    as that element is found: when it seeds an orbit, or else once its orbit
-    is closed.  Raises CapExceededError when the set would exceed the cap.
+    as the orbit holding that element is closed.  Raises CapExceededError
+    when the set would exceed the cap.
     """
     cap = resolve_cap(cap)
     if cap == 0:
@@ -460,41 +601,36 @@ def compute_sc(
     power = start.power
     rigid_class = is_rigid(start)
     member = is_rigid
+    kind: type[Orbit] = _RigidOrbit
     if not rigid_class:
         c = entry.cycle_start
         member = _membership(entry.steps[c:], entry.steps[:c])
-    stop = None
-    if stop_at is not None and stop_at.power == power:
-        stop = stop_at.factors
-    index: dict[Factors, Orbit] = {}
+        kind = _CyclingOrbit
+    # {key: orbit} in a rigid class, else {factors of each member: orbit}.
+    index: dict = {}
     orbits: list[Orbit] = []  # closed orbits, in the order found
+    size = 0
 
     def result(complete: bool) -> SCSet:
-        orbits.sort(key=lambda o: o._least)
         return SCSet(
             x,
             start,
-            _Conjugators(power, index),
+            _Conjugators(start, kind, index, tuple(orbits), size),
             rigid_class,
-            tuple(orbits),
+            tuple(sorted(orbits, key=lambda o: o._key)),
             complete,
-            index,
         )
 
     def found(orbit: Orbit) -> bool:
-        """Record the seed of a new orbit and close the orbit; True once
-        stop_at is found."""
-        if len(index) >= cap:
-            raise CapExceededError(cap)
-        seed = orbit._factors[0]
-        index[seed] = orbit
-        if seed == stop:
-            return True
-        orbit._close(index, cap)
+        """Close and record a new orbit; True once stop_at is found."""
+        nonlocal size
+        orbit._close(index, cap - size, cap)
+        size += orbit.size
         orbits.append(orbit)
-        return stop is not None and stop in index
+        return stop_at is not None and stop_at in orbit
 
-    if found(Orbit(power, start.factors, None, Simple.ONE, entry.accumulated_conjugator)):
+    seed = kind._member(start.factors)
+    if found(kind(power, seed, None, Simple.ONE, entry.accumulated_conjugator)):
         return result(False)
     for orbit in orbits:  # grows while the search runs
         rep = orbit.representative
@@ -504,10 +640,20 @@ def compute_sc(
                 raise RuntimeError(
                     f"arrow {s!r} at {rep!r} leaves the power of SC: {target!r}"
                 )
-            if target.factors in index:
-                continue
-            if found(Orbit(power, target.factors, orbit, s)):
-                return result(False)
+            # Most targets lie in the orbit they leave or in its parent, which
+            # a substring search finds without a key.
+            seed = kind._member(target.factors)
+            parent = orbit._parent
+            if orbit._holds(seed):
+                orbit._targets.append(orbit)
+            elif parent is not None and parent._holds(seed):
+                orbit._targets.append(parent)
+            else:
+                new = kind(power, seed, orbit, s)
+                known = new._lookup(index)
+                orbit._targets.append(new if known is None else known)
+                if known is None and found(new):
+                    return result(False)
     return result(True)
 
 
@@ -599,8 +745,8 @@ def quotient_graph(sc: SCSet) -> QuotientGraph:
     position = {orbit: i for i, orbit in enumerate(sc.orbits)}
     labels: dict[tuple[int, int], set[Simple]] = {}
     for i, orbit in enumerate(sc.orbits):
-        for s, target in orbit.arrows:
-            j = position[sc._orbit_of[target.factors]]
+        for (s, _), target in zip(orbit.arrows, orbit._targets):
+            j = position[target]
             if j == i:
                 continue  # not a useful arrow
             labels.setdefault((min(i, j), max(i, j)), set()).add(s)

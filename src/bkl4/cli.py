@@ -18,14 +18,16 @@ generators, `^` for integer powers, factors separated by `.` or whitespace.
 
 Exit codes: 0 success / conjugate, 1 not conjugate, 2 parse or usage error,
 3 cap exceeded (the safety cap is `--cap` or the B4_SC_CAP variable, a
-non-negative integer).
+non-negative integer), 4 internal error (out of memory, recursion too deep
+or a failed soundness check; never an answer).
 
 All output is UTF-8 text.  `--json` (and `--graph json`, `--quotient json`)
 emits exactly one JSON document on stdout, failures included: a parse or
 usage error (argparse's included: an unknown flag, a missing argument, a
 bad choice) is {"outcome": "error", "reason": "parse-error" | "usage",
 "message": ...}, a search over the cap is {"outcome": "inconclusive",
-"reason": "cap-exceeded", ...}.  Graph output is graphviz-compatible DOT:
+"reason": "cap-exceeded", ...}, and an internal error is {"outcome": "error",
+"reason": "internal-error", ...}.  Graph output is graphviz-compatible DOT:
 vertices are labeled with compact normal forms, edges with the arrow names
 that induce them, and quotient vertices carry their orbit member counts.
 """
@@ -60,12 +62,24 @@ from bkl4.solver import (
     is_periodic,
     solve_conjugacy,
 )
-from bkl4.words import ParseError, beta_braid, beta_word, format_braid, format_braid_compact, parse_braid
+from bkl4.words import (
+    MAX_WORD_LETTERS,
+    ParseError,
+    beta_braid,
+    beta_word,
+    format_braid,
+    format_braid_compact,
+    parse_braid,
+)
 
 EXIT_OK = 0
 EXIT_NOT_CONJUGATE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
+
+# beta_k has 6k + 5 letters, so every word `bkl4 beta` prints parses.
+MAX_BETA_INDEX = (MAX_WORD_LETTERS - 5) // 6
 
 
 class _CliError(Exception):
@@ -106,7 +120,9 @@ def _cap(text: str | None) -> int:
         raise _CliError(EXIT_USAGE, "usage", message) from exc
 
 
-def _invariant_fields(x: GarsideBraid) -> dict:
+def _invariant_fields(x: GarsideBraid, periodic: bool | None = None) -> dict:
+    """The invariants of x; `periodic`, when the caller knows it, spares
+    the periodicity test."""
     inv = invariants(x)
     return {
         "inf": inv.inf,
@@ -117,7 +133,7 @@ def _invariant_fields(x: GarsideBraid) -> dict:
         "k1": inv.k1,
         "k2": inv.k2,
         "rigid": is_rigid(x),
-        "periodic": is_periodic(x),
+        "periodic": is_periodic(x) if periodic is None else periodic,
     }
 
 
@@ -256,7 +272,7 @@ def cmd_conj(args: argparse.Namespace) -> int:
             print(
                 json.dumps(
                     {
-                        **_invariant_fields(x),
+                        **_invariant_fields(x, decision.periodic),
                         "outcome": "conjugate",
                         "certificate": word,
                     }
@@ -271,7 +287,7 @@ def cmd_conj(args: argparse.Namespace) -> int:
             print(
                 json.dumps(
                     {
-                        **_invariant_fields(x),
+                        **_invariant_fields(x, decision.periodic),
                         "outcome": "not-conjugate",
                         "reason": decision.reason,
                     }
@@ -286,7 +302,7 @@ def cmd_conj(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    **_invariant_fields(x),
+                    **_invariant_fields(x, decision.periodic),
                     "outcome": "inconclusive",
                     "reason": decision.reason,
                 }
@@ -350,10 +366,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _nonnegative_int(text: str) -> int:
+def _beta_index(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+    if not 0 <= value <= MAX_BETA_INDEX:
+        raise argparse.ArgumentTypeError(f"must be >= 0 and <= {MAX_BETA_INDEX}")
     return value
 
 
@@ -413,7 +429,9 @@ def _parser() -> argparse.ArgumentParser:
     p_conj.set_defaults(func=cmd_conj)
 
     p_beta = sub.add_parser("beta", help="emit the beta_k family word")
-    p_beta.add_argument("k", type=_nonnegative_int, help="family index (>= 0)")
+    p_beta.add_argument(
+        "k", type=_beta_index, help=f"family index (0..{MAX_BETA_INDEX})"
+    )
     p_beta.set_defaults(func=cmd_beta)
 
     p_bench = sub.add_parser("bench", help="CSV scaling benchmark")
@@ -453,12 +471,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except _CliError as err:
-        if _json_output(argv):
-            print(json.dumps(err.document()))
-        else:
-            print(err.usage + err.message, file=sys.stderr)
-        return err.code
+    except _CliError as exc:
+        err = exc
+    except (MemoryError, RuntimeError, AssertionError) as exc:
+        # RecursionError is a RuntimeError; soundness checks raise the others.
+        err = _CliError(EXIT_INTERNAL, "internal-error", f"internal error: {exc!r}")
+    if _json_output(argv):
+        print(json.dumps(err.document()))
+    else:
+        print(err.usage + err.message, file=sys.stderr)
+    return err.code
 
 
 if __name__ == "__main__":

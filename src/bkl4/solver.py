@@ -37,7 +37,7 @@ Periodicity in this group: x is periodic iff x^3 or x^4 is a delta power
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from bkl4.circuits import CapExceededError, compute_sc
 from bkl4.engine import (
@@ -93,12 +93,15 @@ class SolverDecision:
 
     outcome is 'conjugate' (with a verified certificate), 'not-conjugate'
     (with reason 'lambda-mismatch', 'type-mismatch' or 'disjoint-SC'), or
-    'inconclusive' (reason 'cap-exceeded').
+    'inconclusive' (reason 'cap-exceeded').  `periodic` tells whether x is
+    periodic, as tested on its circuit representative; it is None when the
+    solver answered before sliding (x == y, or 'lambda-mismatch').
     """
 
     outcome: str
     certificate: ConjugacyCertificate | None = None
     reason: str | None = None
+    periodic: bool | None = None
 
 
 def _conjugate_decision(
@@ -169,16 +172,18 @@ def solve_conjugacy(
         return SolverDecision(NOT_CONJUGATE, reason="lambda-mismatch")
     tx, ty = slide_to_circuit(x), slide_to_circuit(y)
     rx, ry = tx.representative, ty.representative
-    if is_periodic(rx) != is_periodic(ry):
-        return SolverDecision(NOT_CONJUGATE, reason="type-mismatch")
+    periodic = is_periodic(rx)
+    if periodic != is_periodic(ry):
+        return SolverDecision(NOT_CONJUGATE, reason="type-mismatch", periodic=periodic)
     irx, iry = invariants(rx), invariants(ry)
     if (irx.inf, irx.sup, irx.k1, irx.k2) != (iry.inf, iry.sup, iry.k1, iry.k2):
-        return SolverDecision(NOT_CONJUGATE, reason="type-mismatch")
+        return SolverDecision(NOT_CONJUGATE, reason="type-mismatch", periodic=periodic)
+    decision = None
     if assume_pa and not (is_rigid(rx) and is_rigid(ry)):
         decision = _solve_by_powering(x, y, cap)
-        if decision is not None:
-            return decision
-    return _search(x, y, tx, ty, cap)
+    if decision is None:
+        decision = _search(x, y, tx, ty, cap)
+    return replace(decision, periodic=periodic)
 
 
 def _solve_by_powering(

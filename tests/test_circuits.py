@@ -28,7 +28,7 @@ from bkl4.engine import (
 from bkl4.simples import ATOMS, COMPLEMENT, DIVISORS, WEIGHT, Simple
 from bkl4.sliding import final_factor, initial_factor, is_rigid, slide_to_circuit
 from bkl4.words import beta_braid
-from reference_sc import orbit_partition
+from reference_sc import orbit_partition, reference_sc
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -397,3 +397,64 @@ def test_diagonal_orbits_are_at_most_bivalent():
                 assert degree <= 2
                 saw_bivalent = saw_bivalent or degree == 2
     assert saw_bivalent  # the bound is attained, so the check is not vacuous
+
+
+# Factors fixed by tau^2: words over them have symmetric cyclic words.
+_TAU2_FIXED = (M, A, Simple.P12_34, Simple.P14_23)
+
+
+def _rigid_braid(seed: int, symmetric: bool, shift: int, exponent: int) -> GarsideBraid:
+    """The first rigid braid drawn from `seed`: a random normal form, or a
+    word over the tau^2-fixed simples, times delta^shift (which changes the
+    twist u = tau^-p of cycling), raised to `exponent` (a power repeats the
+    cyclic word)."""
+    rng = random.Random(seed)
+    while True:
+        length = rng.randrange(1, 9)
+        if symmetric:
+            factors = tuple(rng.choice(_TAU2_FIXED) for _ in range(length))
+        else:
+            factors = random_braid(rng, length).factors
+        x = power(braid_from_factors(shift, factors), exponent)
+        if x.factors and is_rigid(x):
+            return x
+
+
+def _check_rigid_orbits(x: GarsideBraid) -> bool:
+    """Check the keyed orbits of SC(x), x rigid, against orbits closed
+    element by element; True if some orbit is smaller than 4*len."""
+    sc = compute_sc(x)
+    assert sc.rigid
+    assert set(sc.elements) == set(reference_sc(x))
+    assert [o.members for o in sc.orbits] == orbit_partition(sc.elements)
+    for orbit in sc.orbits:
+        members = orbit.members
+        assert orbit.size == len(members) == len(set(members))
+        assert orbit.representative == members[0]
+        for y in members:
+            assert is_rigid(y) and y in sc and y in orbit
+    assert sc.size == sum(o.size for o in sc.orbits) == len(set(sc.elements))
+    for y, z in sc.conjugators.items():
+        assert conjugate(x, z) == y
+    return any(o.size < 4 * x.canonical_length for o in sc.orbits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    symmetric=st.booleans(),
+    shift=st.integers(-3, 3),
+    exponent=st.integers(1, 3),
+)
+def test_rigid_orbit_keys_match_materialized_orbits(seed, symmetric, shift, exponent):
+    _check_rigid_orbits(_rigid_braid(seed, symmetric, shift, exponent))
+
+
+def test_rigid_orbit_keys_on_symmetric_words():
+    # The check must meet orbits that a periodic cyclic word, a twist that
+    # is a rotation, or both make smaller than 4*len.
+    small = sum(
+        _check_rigid_orbits(_rigid_braid(seed, seed % 2 == 0, seed % 7 - 3, seed % 3 + 1))
+        for seed in range(60)
+    )
+    assert small >= 30

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import bkl4
+import bkl4.cli
 from bkl4.cli import main
 from bkl4.engine import conjugate
-from bkl4.words import parse_braid
+from bkl4.words import beta_word, parse_braid, parse_word
 
 
 def run(capsys, *argv):
@@ -261,6 +267,17 @@ def test_beta_command(capsys):
     assert ">= 0" in err
 
 
+def test_beta_index_bound(capsys):
+    # beta_k has 6k + 5 letters: k = 1665 is the last index whose word parses.
+    code, word, err = run(capsys, "beta", "1665")
+    assert code == 0
+    assert sum(abs(e) for _, e in parse_word(word.strip())) == 6 * 1665 + 5
+    for k in ("1666", "9" * 4300):
+        code, out, err = run(capsys, "beta", k)
+        assert (code, out) == (2, "")
+        assert "<= 1665" in err
+
+
 def test_beta_words_feed_nf(capsys):
     for k in (0, 1, 2):
         code, word, err = run(capsys, "beta", str(k))
@@ -339,3 +356,60 @@ def test_parser_is_reused_across_calls(capsys):
         fresh.append(run(capsys, *argv))
     assert [run(capsys, *argv) for argv in calls] == fresh
     assert bkl4.cli._parser() is bkl4.cli._parser()
+
+
+def test_internal_errors_exit_4(capsys, monkeypatch):
+    # Running out of memory or failing a soundness check is never an answer:
+    # `conj` must not exit 1 (not conjugate), and JSON output still gets one
+    # document.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(bkl4.cli, "compute_sc", out_of_memory)
+    monkeypatch.setattr(bkl4.solver, "compute_sc", out_of_memory)
+    beta1 = "a34.a23.a12.a13.a14.c124^3.a12^-3"
+    for argv in (
+        ["sc", "--json", "a13^2"],
+        ["sc", "--quotient", "json", "a13^2"],
+        ["conj", "--json", beta1, f"a13^-1.{beta1}.a13"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert json.loads(out) == {
+            "outcome": "error",
+            "reason": "internal-error",
+            "message": "internal error: MemoryError()",
+        }
+    code, out, err = run(capsys, "conj", beta1, f"a13^-1.{beta1}.a13")
+    assert (code, out) == (4, "")
+    assert err.strip() == "internal error: MemoryError()"
+    monkeypatch.undo()
+    monkeypatch.setattr(bkl4.solver, "verify_certificate", lambda cert: False)
+    code, out, err = run(capsys, "conj", "--json", "a12", "a24")
+    assert code == 4
+    data = json.loads(out)
+    assert data["reason"] == "internal-error"
+    assert "certificate failed verification" in data["message"]
+
+
+def test_beta_200_hits_the_cap_in_bounded_memory():
+    # |SC(beta_200)| = 1,456,840 is over the default cap.  Rigid orbits are
+    # counted without storing their members, so the cap fires well inside a
+    # 512 MiB address space (the search once ran out of memory first).
+    src = os.path.dirname(os.path.dirname(bkl4.__file__))
+    limit = 512 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "bkl4.cli", "sc", "--size", "--json", beta_word(200)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit_memory,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["reason"] == "cap-exceeded"
+    assert proc.stderr == ""
