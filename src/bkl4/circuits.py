@@ -344,18 +344,13 @@ class Orbit:
 
 
 class _RigidOrbit(Orbit):
-    """An orbit of a rigid class, kept as the cyclic word of its seed.
+    """An orbit of a rigid class, kept as the tau twists of its seed's
+    cyclic word W (see the module docstring); members are bytes of factors.
 
-    Members are bytes of factors.  With u = tau^-p, cycling a rigid member
-    moves its first factor f1 to the end as u(f1), so c^j(seed) is the
-    window of length r at position j of the cyclic word
-    W = seed . u(seed) . u^2(seed) . u^3(seed) (u has order dividing 4).  A
-    window fixes the whole word, as each letter is u of the one r places
-    before it; so the walk has the smallest rotation period d of W as its
-    length, and the twists tau^k(W) are rotations of each other or share no
-    window.  The orbit keeps the twists that are not rotations of one
-    another, each doubled so that every window is a substring, and its key,
-    the least window over them, which is its smallest member.
+    `_words` holds the twists of W that are not rotations of one another,
+    tau^0(W) first, each doubled so that every window is a substring;
+    c^j(seed) is the window at position j of the first, for j below the
+    period d of W.
     """
 
     __slots__ = ("_words", "_period")
