@@ -14,8 +14,8 @@ a time, starting from the circuit representative of x, at the shared power:
     back to itself and its twists by tau, tau^2 and tau^3.  tau commutes
     with cycling, so each twist is the walk of tau^k(seed): either one
     already in the orbit or disjoint from it.
-  * In a rigid class (see below) an orbit is kept as one key, and no member
-    is stored.  Cycling a rigid element with factors x1 ... xr moves x1 to
+  * In a rigid class (see below) an orbit is indexed by one key, and no
+    member is stored.  Cycling a rigid element with factors x1 ... xr moves x1 to
     the end as u(x1), u = tau^-p, and the result is rigid again.  So the
     walk from a seed f is the set of length-r windows of the cyclic word
     W = f . u(f) . u^2(f) . u^3(f) (tau^4 = 1).  Each letter of W is u of
@@ -259,7 +259,8 @@ class Orbit:
     `members` lists its elements in canonical order (the representative
     first), built when it is read; `arrows` holds the minimal arrows at the
     representative, each with its target element, in (weight, canonical
-    index) order.
+    index) order.  A rigid class has `_RigidOrbit`s, any other class
+    `_CyclingOrbit`s; they differ in how they hold the members.
     """
 
     __slots__ = (
@@ -401,6 +402,7 @@ class _RigidOrbit(Orbit):
         return (w[j : j + r] for w in self._words for j in range(self._period))
 
     def _position(self, member: bytes) -> tuple[int, int]:
+        """The smallest (j, k) with tau^k(c^j(seed)) the member."""
         doubled = self._words[0]
         positions = []
         for k, twist in enumerate(_TWIST):
@@ -472,6 +474,7 @@ class _CyclingOrbit(Orbit):
         return iter(self._members)
 
     def _position(self, member: Factors) -> tuple[int, int]:
+        """The smallest (j, k) with tau^k(c^j(seed)) the member."""
         if self._steps is None:
             steps: dict[Factors, tuple[int, int]] = {}
             for j, f in enumerate(self._walk):
