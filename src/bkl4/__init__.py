@@ -44,7 +44,6 @@ from bkl4.simples import (
 )
 from bkl4.sliding import (
     DeltaPowerError,
-    NotSimpleError,
     SlidingStep,
     SlidingTrajectory,
     cyclic_sliding,
@@ -110,7 +109,6 @@ __all__ = [
     "to_artin_letters",
     # sliding
     "DeltaPowerError",
-    "NotSimpleError",
     "SlidingStep",
     "SlidingTrajectory",
     "cyclic_sliding",

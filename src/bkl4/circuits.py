@@ -283,8 +283,11 @@ class Orbit:
         seed_conjugator: GarsideBraid | None = None,
     ) -> None:
         self.arrows: tuple[tuple[Simple, GarsideBraid], ...] = ()
-        # The orbit each arrow leads to, in the order of `arrows`.
-        self._targets: list[Orbit] = []
+        # The key of the orbit each arrow leads to, in the order of `arrows`.
+        # Keys, not orbits: a reference to an orbit would close a cycle
+        # (to itself or back to the parent), and orbits in cycles outlive
+        # their search until the cyclic garbage collector runs.
+        self._targets: list[Member] = []
         self._power = power
         self._seed = seed
         # The seed is parent.representative^arrow; without a parent it is the
@@ -334,8 +337,8 @@ class Orbit:
             for orbit in reversed(chain):
                 parent = orbit._parent
                 z = parent._conjugator(parent._key)
-                orbit._walk_conjugators[0] = braid_from_factors(
-                    z.power, z.factors + (orbit._arrow,)
+                orbit._walk_conjugators[0] = multiply(
+                    z, GarsideBraid(0, (orbit._arrow,))
                 )
         i = max(i for i in built if i <= j)
         z = built[i]
@@ -643,14 +646,16 @@ def compute_sc(
             seed = kind._member(target.factors)
             parent = orbit._parent
             if orbit._holds(seed):
-                orbit._targets.append(orbit)
+                orbit._targets.append(orbit._key)
             elif parent is not None and parent._holds(seed):
-                orbit._targets.append(parent)
+                orbit._targets.append(parent._key)
             else:
                 new = kind(power, seed, orbit, s)
                 known = new._lookup(index)
-                orbit._targets.append(new if known is None else known)
-                if known is None and found(new):
+                # found() closes the orbit, which gives it its key.
+                stop = known is None and found(new)
+                orbit._targets.append((new if known is None else known)._key)
+                if stop:
                     return result(False)
     return result(True)
 
@@ -740,7 +745,7 @@ def quotient_graph(sc: SCSet) -> QuotientGraph:
     orbits and arrows.  Raises ValueError on a search stopped early."""
     if not sc.complete:
         raise ValueError("the quotient graph needs a complete SC set")
-    position = {orbit: i for i, orbit in enumerate(sc.orbits)}
+    position = {orbit._key: i for i, orbit in enumerate(sc.orbits)}
     labels: dict[tuple[int, int], set[Simple]] = {}
     for i, orbit in enumerate(sc.orbits):
         for (s, _), target in zip(orbit.arrows, orbit._targets):

@@ -12,10 +12,27 @@ dataclass equality decides the word problem.
 
 Normalization is local: one renorm step on a factor pair (u, v) replaces it by
 (u*t, t^-1 v) with t = meet(complement(u), v), which also bubbles delta
-factors to the front and trivial factors to the back.  `normalize_factors`
-runs renorm steps with backtracking (after a change, step one pair back) until
-every pair is a fixed point; each change strictly grows the prefix-weight
-vector lexicographically, so the loop terminates.
+factors to the front and trivial factors to the back.  The first factor of the
+step is meet(u v, delta), so a renormalized pair is left-weighted.
+
+Multiplying a normal form by one simple takes a single pass of renorm steps
+(Birman, Ko and Lee, *A new approach to the word and conjugacy problems in the
+braid groups*, 1998):
+
+    s . x1 ... xr   left to right, one pending simple: (o, s) = renorm(s, xi)
+                    puts out o and carries s on; s is put out last;
+    x1 ... xr . s   right to left, in place: (s, o) = renorm(xi, s) puts o
+                    after xi's slot and carries s on; s is put out first.
+
+A step that changes nothing (t = 1) meets a pair of the input, which is
+normal, so the pass stops there.  Leading deltas then join the power and
+trailing 1s go.  `multiply` uses the passes when one side has one factor, and
+`conjugate` by one simple s is delta^(p-1) . (tau^(p-1)(complement(s)) . x) . s
+for x = delta^p . x1 ... xr: a left pass, then a right pass on its list.
+`normalize_factors` runs renorm steps with backtracking (after a change, step
+one pair back) until every pair is a fixed point; each change strictly grows
+the prefix-weight vector lexicographically, so the loop terminates.  It serves
+parsing and the products of two braids of two or more factors each.
 
 Signed input letters are folded in with two identities:
 
@@ -129,6 +146,50 @@ def normalize_factors(raw: Sequence[Simple]) -> tuple[int, tuple[Simple, ...]]:
     return p, tuple(fs[p:end])
 
 
+def _left_pass(fs: list[Simple], end: int) -> None:
+    """fs[0] . fs[1:end] in place, for normal fs[1:end] (see the module
+    docstring); leading deltas and trailing 1s are left in place."""
+    renorm = RENORM
+    s = fs[0]
+    for i in range(1, end):
+        f = fs[i]
+        fs[i - 1], s = renorm[s][f]
+        if s is f:
+            # t = 1: the pairs from here on are normal already.
+            return
+    fs[end - 1] = s
+
+
+def _right_pass(fs: list[Simple]) -> None:
+    """fs[:-1] . fs[-1] in place, for normal fs[:-1] (see the module
+    docstring); leading deltas and trailing 1s are left in place."""
+    renorm = RENORM
+    s = fs[-1]
+    for i in range(len(fs) - 2, -1, -1):
+        u = fs[i]
+        grown, fs[i + 1] = renorm[u][s]
+        if grown is u:
+            # t = 1: the pairs before this one are normal already.
+            return
+        s = grown
+    fs[0] = s
+
+
+def _finish(fs: list[Simple]) -> tuple[int, tuple[Simple, ...]]:
+    """The delta count and proper factors of a pass's list, which it
+    consumes: leading deltas are counted and trailing 1s dropped."""
+    end = len(fs)
+    while end and fs[end - 1] == Simple.ONE:
+        end -= 1
+    del fs[end:]
+    p = 0
+    while p < end and fs[p] == Simple.DELTA:
+        p += 1
+    if p:
+        del fs[:p]
+    return p, tuple(fs)
+
+
 def braid_from_factors(power: int, factors: Iterable[Simple]) -> GarsideBraid:
     """Build delta**power times the given (not necessarily normal) factors."""
     extra, fs = normalize_factors(tuple(factors))
@@ -180,10 +241,17 @@ def multiply(x: GarsideBraid, y: GarsideBraid) -> GarsideBraid:
         tw = TAU_POWER[q % 4]
         return GarsideBraid(x.power + q, tuple(tw[f] for f in x.factors))
     tw = TAU_POWER[q % 4]
-    merged = [tw[f] for f in x.factors]
-    merged.extend(y.factors)
-    extra, fs = normalize_factors(merged)
-    return GarsideBraid(x.power + q + extra, fs)
+    fs = [tw[f] for f in x.factors]
+    fs.extend(y.factors)
+    if len(x.factors) == 1:
+        _left_pass(fs, len(fs))
+        extra, factors = _finish(fs)
+    elif len(y.factors) == 1:
+        _right_pass(fs)
+        extra, factors = _finish(fs)
+    else:
+        extra, factors = normalize_factors(fs)
+    return GarsideBraid(x.power + q + extra, factors)
 
 
 def invert(x: GarsideBraid) -> GarsideBraid:
@@ -215,7 +283,20 @@ def power(x: GarsideBraid, n: int) -> GarsideBraid:
 
 def conjugate(x: GarsideBraid, z: GarsideBraid) -> GarsideBraid:
     """The conjugate x^z = z^-1 x z."""
+    if len(z.factors) == 1 and not z.power:
+        return _conjugate_by_simple(x, z.factors[0])
     return multiply(multiply(invert(z), x), z)
+
+
+def _conjugate_by_simple(x: GarsideBraid, s: Simple) -> GarsideBraid:
+    """x^s = delta^(p-1) . (tau^(p-1)(complement(s)) . x1 ... xr) . s: a left
+    pass, then a right pass on the same list."""
+    p = x.power
+    fs = [TAU_POWER[(p - 1) % 4][COMPLEMENT[s]], *x.factors, s]
+    _left_pass(fs, len(fs) - 1)
+    _right_pass(fs)
+    extra, factors = _finish(fs)
+    return GarsideBraid(p - 1 + extra, factors)
 
 
 def tau_braid(x: GarsideBraid, k: int = 1) -> GarsideBraid:

@@ -211,19 +211,13 @@ def _bootstrap() -> dict[str, tuple]:
 
     weight_table = tuple(len(defining_word[s]) for s in Simple)
 
-    def class_of(word: tuple[Simple, ...]) -> Simple | None:
-        """The simple spelled by `word`, or None if it is not a divisor of delta."""
-        if len(word) > 3:
-            return None
-        closure = _close_word_class(word)
-        for s in Simple:
-            if weight_table[s] == len(word) and defining_word[s] in closure:
-                return s
-        return None
-
-    compose: list[list[Simple | None]] = [[None] * 14 for _ in range(14)]
-    for a, b in itertools.product(Simple, Simple):
-        compose[a][b] = class_of(defining_word[a] + defining_word[b])
+    # Each word class is closed under the relations, so a word spells the
+    # simple whose class holds it, and a word in no class spells no simple.
+    spelled = {w: s for s in Simple for w in word_class[s]}
+    compose: list[list[Simple | None]] = [
+        [spelled.get(defining_word[a] + defining_word[b]) for b in Simple]
+        for a in Simple
+    ]
 
     divisors_table: list[frozenset[Simple]] = []
     for s in Simple:

@@ -17,15 +17,12 @@ as p(x) = 1, i.e. x is a fixed point of cyclic sliding.  Delta powers (r = 0)
 have no initial or final factor; cycling, decycling and sliding leave them
 unchanged.
 
-Sliding conjugates by a prefix t of both iota(x) and complement(phi(x)), so it
-can be done locally:
-
-    s(x) = delta^p . (tau^p(t)^-1 x1) . x2 ... x_{r-1} . (xr t)
-
-with both parenthesized products staying simple; only a cheap renormalization
-pass remains.  `slide_to_circuit` iterates sliding until an element repeats,
-which finds the periodic part (a circuit of the sliding orbit) in finitely
-many steps.
+Cycling and sliding conjugate by one simple, so each takes single passes of
+renorm steps over the factors (see `bkl4.engine`): cycling puts iota(x)
+after x2 ... xr with a right pass, and sliding conjugates by t with a left
+pass and a right pass.  `slide_to_circuit` iterates sliding until an element
+repeats, which finds the periodic part (a circuit of the sliding orbit) in
+finitely many steps.
 """
 
 from __future__ import annotations
@@ -33,20 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from bkl4.engine import GarsideBraid, braid_from_factors, normalize_factors
-from bkl4.simples import (
-    COMPLEMENT,
-    COMPOSE,
-    LEFT_WEIGHTED,
-    LQUOT,
-    MEET,
-    TAU_POWER,
-    Simple,
+from bkl4.engine import (
+    GarsideBraid,
+    _conjugate_by_simple,
+    _finish,
+    _right_pass,
+    braid_from_factors,
+    multiply,
 )
+from bkl4.simples import COMPLEMENT, LEFT_WEIGHTED, MEET, TAU_POWER, Simple
 
 __all__ = [
     "DeltaPowerError",
-    "NotSimpleError",
     "SlidingStep",
     "SlidingTrajectory",
     "initial_factor",
@@ -62,10 +57,6 @@ __all__ = [
 
 class DeltaPowerError(ValueError):
     """Raised when an operation needs canonical factors but x is a delta power."""
-
-
-class NotSimpleError(ValueError):
-    """Raised when a product that must be simple is not."""
 
 
 class SlidingStep(NamedTuple):
@@ -101,11 +92,10 @@ def _cycle_factors(
 ) -> tuple[int, tuple[Simple, ...]]:
     """c(x) for x = delta^power . factors (at least one factor), as the delta
     count it gains and its factors.  The SC search walks cycling with it."""
-    iota = TAU_POWER[-power % 4][factors[0]]
-    if LEFT_WEIGHTED[factors[-1]][iota]:
-        # x is rigid: the rotated factors are already in normal form.
-        return 0, factors[1:] + (iota,)
-    return normalize_factors(factors[1:] + (iota,))
+    fs = list(factors)
+    fs.append(TAU_POWER[-power % 4][fs.pop(0)])
+    _right_pass(fs)
+    return _finish(fs)
 
 
 def cycling(x: GarsideBraid) -> GarsideBraid:
@@ -120,8 +110,9 @@ def decycling(x: GarsideBraid) -> GarsideBraid:
     """d(x) = x^(phi(x)^-1); identity operation on delta powers."""
     if not x.factors:
         return x
-    return braid_from_factors(
-        x.power, (TAU_POWER[x.power % 4][x.factors[-1]],) + x.factors[:-1]
+    # phi(x) . delta^p . x1 ... x_{r-1}
+    return multiply(
+        GarsideBraid(0, x.factors[-1:]), GarsideBraid(x.power, x.factors[:-1])
     )
 
 
@@ -132,21 +123,7 @@ def cyclic_sliding(x: GarsideBraid) -> SlidingStep:
     t = MEET[initial_factor(x)][COMPLEMENT[x.factors[-1]]]
     if t == Simple.ONE:
         return SlidingStep(x, Simple.ONE)
-    head = LQUOT[TAU_POWER[x.power % 4][t]][x.factors[0]]
-    if len(x.factors) == 1:
-        # One factor is both head and tail: s(x) = delta^p . (head t).
-        return SlidingStep(braid_from_factors(x.power, (head, t)), t)
-    tail = _compose_checked(x.factors[-1], t)
-    return SlidingStep(
-        braid_from_factors(x.power, (head,) + x.factors[1:-1] + (tail,)), t
-    )
-
-
-def _compose_checked(a: Simple, b: Simple) -> Simple:
-    c = COMPOSE[a][b]
-    if c is None:  # pragma: no cover - guarded by meet with complement
-        raise NotSimpleError(f"product of {a!r} and {b!r} is not simple")
-    return c
+    return SlidingStep(_conjugate_by_simple(x, t), t)
 
 
 def is_rigid(x: GarsideBraid) -> bool:

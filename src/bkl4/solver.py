@@ -31,7 +31,7 @@ direct conjugation.  A search that outgrows the cap yields Inconclusive
 ('cap-exceeded') rather than a guess.
 
 Periodicity in this group: x is periodic iff x^3 or x^4 is a delta power
-(canonical length 0).
+(canonical length 0); a rigid braid never is.
 """
 
 from __future__ import annotations
@@ -114,7 +114,13 @@ def _conjugate_decision(
 
 
 def is_periodic(x: GarsideBraid) -> bool:
-    """Whether x is periodic: x^3 or x^4 is a power of delta."""
+    """Whether x is periodic: x^3 or x^4 is a power of delta.
+
+    A rigid x is not: its m-th power is rigid with m times its canonical
+    length, which is never 0.
+    """
+    if is_rigid(x):
+        return False
     square = multiply(x, x)
     if multiply(square, x).canonical_length == 0:
         return True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -458,3 +459,22 @@ def test_rigid_orbit_keys_on_symmetric_words():
         for seed in range(60)
     )
     assert small >= 30
+
+
+def test_sc_sets_hold_no_reference_cycles():
+    # Orbits refer to the orbits their arrows lead to by key, so a search
+    # and its quotient are freed as soon as they are dropped, not at the
+    # next run of the cyclic garbage collector.
+    nonrigid = braid_from_factors(0, [Simple.C123, M, M, W])
+    gc.collect()
+    gc.disable()
+    try:
+        for x in (beta_braid(2), nonrigid):
+            sc = compute_sc(x)
+            assert len(quotient_graph(sc).orbits) > 1
+            for orbit in sc.orbits:
+                orbit.members
+            del sc
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

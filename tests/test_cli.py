@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -9,12 +11,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bkl4
 import bkl4.cli
 from bkl4.cli import main
 from bkl4.engine import conjugate
-from bkl4.words import beta_word, parse_braid, parse_word
+from bkl4.words import MAX_WORD_LETTERS, beta_word, parse_braid, parse_word
 
 
 def run(capsys, *argv):
@@ -413,3 +417,90 @@ def test_beta_200_hits_the_cap_in_bounded_memory():
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["reason"] == "cap-exceeded"
     assert proc.stderr == ""
+
+
+# Short grammar words (so a search stays small), with an exponent past the
+# letter bound now and then, and some terms that do not parse.
+_names = st.sampled_from(
+    "a12 a23 a34 a14 a13 a24 c123 c124 c134 c234 p12-34 p14-23 d s1 s2 s3".split()
+)
+_small = st.integers(-3, 3)
+_exponents = st.one_of(
+    _small,
+    _small,
+    _small,
+    st.integers(MAX_WORD_LETTERS + 1, 10**30).map(lambda e: e * (-1) ** (e % 2)),
+)
+_terms = st.one_of(
+    st.builds(lambda name, e: f"{name}^{e}", _names, _exponents),
+    _names,
+    _names,
+    _names,
+    st.sampled_from(["x9", "a12^", "^2", "a21", "p12"]),
+)
+_argv_words = st.builds(
+    lambda terms, sep: sep.join(terms),
+    st.lists(_terms, min_size=1, max_size=4),
+    st.sampled_from([".", " "]),
+)
+_flags = st.lists(
+    st.sampled_from(
+        [
+            ("--json",),
+            ("--size",),
+            ("--graph", "json"),
+            ("--graph", "dot"),
+            ("--graph=json",),
+            ("--quotient", "json"),
+            ("--quotient", "dot"),
+            ("--quotient", "xml"),
+            ("--cap", "-1"),
+            ("--cap", "abc"),
+            ("--cap", "0"),
+            ("--cap", "1"),
+            ("--cap", "7"),
+            ("--cap=100",),
+            ("--bogus",),
+            ("-z",),
+        ]
+    ),
+    max_size=3,
+)
+_beta_args = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(10**4, 10**40).map(str),
+    st.sampled_from(["", "k", "1.5", "0x10"]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["nf", "sc", "conj", "beta"]))
+    arity = {"nf": 1, "sc": 1, "conj": 2, "beta": 1}[command]
+    count = draw(st.sampled_from([arity, arity, arity, 0, arity + 1]))
+    args = _beta_args if command == "beta" else _argv_words
+    positionals = [(draw(args),) for _ in range(count)]
+    flags = draw(_flags)
+    words = draw(st.permutations(positionals + flags))
+    return [command, *(token for group in words for token in group)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    # Whatever the argv, main returns an exit code of the README table (4,
+    # the internal error, never happens on inputs this small), and with JSON
+    # output asked for, stdout is exactly one JSON document.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out = out.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    asks_json = any(
+        word in ("--json", "--graph=json")
+        or (word in ("--graph", "--quotient") and argv[i + 1 : i + 2] == ["json"])
+        for i, word in enumerate(argv)
+    )
+    if asks_json:
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        json.loads(out)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bkl4.engine
 from bkl4.classical import classical_normalize
 from bkl4.engine import (
     IDENTITY,
@@ -23,7 +24,14 @@ from bkl4.engine import (
     random_braid,
     tau_braid,
 )
-from bkl4.simples import FOLLOWS, LEFT_WEIGHTED, PROPER_SIMPLES, Simple
+from bkl4.simples import FOLLOWS, LEFT_WEIGHTED, PROPER_SIMPLES, TAU_POWER, Simple
+from bkl4.sliding import (
+    cyclic_sliding,
+    cycling,
+    decycling,
+    initial_factor,
+    preferred_prefix,
+)
 from bkl4.words import to_artin_letters
 
 S, W, N, E, M, A = (
@@ -244,3 +252,70 @@ def test_group_laws_on_normal_forms(x, y, z, k):
     assert multiply(x, invert(x)) == IDENTITY
     assert tau_braid(x, 4) == x
     assert tau_braid(multiply(x, y), k) == multiply(tau_braid(x, k), tau_braid(y, k))
+
+
+def _product(x: GarsideBraid, y: GarsideBraid) -> GarsideBraid:
+    """x y by normalizing the concatenated factors (the generic path)."""
+    twist = TAU_POWER[y.power % 4]
+    return braid_from_factors(
+        x.power + y.power, tuple(twist[f] for f in x.factors) + y.factors
+    )
+
+
+def _conjugate(x: GarsideBraid, z: GarsideBraid) -> GarsideBraid:
+    return _product(_product(invert(z), x), z)
+
+
+# Normal forms with any infimum, weighted towards delta powers and one factor.
+_pass_inputs = st.builds(
+    lambda seed, length, inf: random_braid(random.Random(seed), length, inf),
+    st.integers(0, 2**32),
+    st.one_of(st.integers(0, 1), st.integers(0, 30)),
+    st.integers(-5, 5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_pass_inputs, s=st.sampled_from(list(Simple)), q=st.integers(-5, 5))
+def test_single_simple_passes_match_full_normalization(x, s, q):
+    # One simple on either side, and conjugation by delta^q s, take one pass
+    # each; they must agree with normalizing the concatenated factors.
+    simple = braid_from_factors(0, (s,))
+    assert multiply(x, simple) == _product(x, simple)
+    assert multiply(simple, x) == _product(simple, x)
+    assert conjugate(x, simple) == _conjugate(x, simple)
+    z = braid_from_factors(q, (s,))
+    assert conjugate(x, z) == _conjugate(x, z)
+    if x.factors:
+        iota = braid_from_factors(0, (initial_factor(x),))
+        assert cycling(x) == _conjugate(x, iota)
+        prefix = braid_from_factors(0, (preferred_prefix(x),))
+        assert cyclic_sliding(x).result == _conjugate(x, prefix)
+        phi = braid_from_factors(0, (x.factors[-1],))
+        assert decycling(x) == _conjugate(x, invert(phi))
+        assert_normal(conjugate(x, simple))
+
+
+def test_single_simple_passes_do_not_fall_back(monkeypatch):
+    # Conjugating by one simple, multiplying by one, cycling and sliding
+    # never call the full normalization, so a pass cannot quietly hand over
+    # to it.
+    def refuse(raw):
+        raise AssertionError("normalize_factors called")
+
+    def single_simple_ops(x):
+        return [
+            (conjugate(x, z), multiply(x, z), multiply(z, x))
+            for z in (GarsideBraid(0, (s,)) for s in PROPER_SIMPLES)
+        ] + [cycling(x), cyclic_sliding(x)]
+
+    rng = random.Random(17)
+    cases = [
+        random_braid(rng, rng.randrange(2, 20), rng.randrange(-3, 4)) for _ in range(50)
+    ]
+    expected = [single_simple_ops(x) for x in cases]
+    monkeypatch.setattr(bkl4.engine, "normalize_factors", refuse)
+    assert [single_simple_ops(x) for x in cases] == expected
+    # The guard is live: a product of two longer braids still normalizes.
+    with pytest.raises(AssertionError, match="normalize_factors called"):
+        multiply(cases[0], cases[1])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bkl4.engine import (
@@ -266,3 +266,15 @@ _long_conjugators = st.builds(
 @given(x=_periodic_or_not, w=_long_conjugators)
 def test_periodicity_is_a_conjugacy_invariant(x, w):
     assert is_periodic(conjugate(x, w)) == is_periodic(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_braids, m=st.integers(1, 4))
+def test_rigid_braids_are_never_periodic(x, m):
+    # The m-th power of a rigid braid with r factors is rigid with m r
+    # factors, so no power of it is a power of delta.
+    assume(is_rigid(x))
+    xm = power(x, m)
+    assert is_rigid(xm)
+    assert xm.canonical_length == m * x.canonical_length
+    assert not is_periodic(x)
