@@ -32,7 +32,6 @@ from bkl4.engine import (
     multiply,
     normalize_factors,
     power,
-    random_braid,
     tau_braid,
 )
 from bkl4.simples import (
@@ -68,7 +67,6 @@ from bkl4.solver import (
 )
 from bkl4.words import (
     ParseError,
-    beta_braid,
     beta_word,
     format_braid,
     format_braid_compact,
@@ -96,11 +94,9 @@ __all__ = [
     "multiply",
     "normalize_factors",
     "power",
-    "random_braid",
     "tau_braid",
     # words
     "ParseError",
-    "beta_braid",
     "beta_word",
     "format_braid",
     "format_braid_compact",

@@ -10,7 +10,6 @@ Subcommands
   conj X Y       conjugacy decision; on success prints a certificate z with
                  x = z^-1 . y . z (verified by the solver)
   beta K         the beta_k benchmark-family word
-  bench          CSV scaling table over the beta family, slope on stderr
 
 Braid words use the grammar of `bkl4.words`: atom names a12..a34, weight-2
 names c123..p14-23, `d` for the Garside element, `s1|s2|s3` for the Artin
@@ -35,13 +34,9 @@ that induce them, and quotient vertices carry their orbit member counts.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
-import math
-import random
 import sys
-import time
 from typing import Sequence
 
 from bkl4.circuits import (
@@ -52,7 +47,7 @@ from bkl4.circuits import (
     quotient_graph,
     resolve_cap,
 )
-from bkl4.engine import GarsideBraid, conjugate, invariants, random_braid
+from bkl4.engine import GarsideBraid, invariants
 from bkl4.simples import SIMPLE_NAMES
 from bkl4.sliding import is_rigid
 from bkl4.solver import (
@@ -65,7 +60,6 @@ from bkl4.solver import (
 from bkl4.words import (
     MAX_WORD_LETTERS,
     ParseError,
-    beta_braid,
     beta_word,
     format_braid,
     format_braid_compact,
@@ -318,65 +312,10 @@ def cmd_beta(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    lx = [math.log(v) for v in xs]
-    ly = [math.log(v) for v in ys]
-    n = len(lx)
-    mx = sum(lx) / n
-    my = sum(ly) / n
-    sxx = sum((v - mx) ** 2 for v in lx)
-    sxy = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-    return sxy / sxx
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    cap = _cap(None)
-    rng = random.Random(args.seed)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["k", "ell", "sc_size", "t_sc", "t_solve"])
-    lengths: list[int] = []
-    sc_times: list[float] = []
-    solve_times: list[float] = []
-    for k in range(1, args.kmax + 1):
-        x = beta_braid(k)
-        ell = x.canonical_length
-        start = time.perf_counter()
-        sc = _compute_sc(x, cap)
-        t_sc = time.perf_counter() - start
-        w = random_braid(rng, rng.randrange(3, 8), 0)
-        y = conjugate(x, w)
-        start = time.perf_counter()
-        decision = solve_conjugacy(x, y, cap=cap)
-        t_solve = time.perf_counter() - start
-        if decision.outcome != CONJUGATE:
-            raise AssertionError(f"internal error: beta_{k} pair {decision.outcome}")
-        writer.writerow([k, ell, sc.size, f"{t_sc:.6f}", f"{t_solve:.6f}"])
-        lengths.append(ell)
-        sc_times.append(max(t_sc, 1e-9))
-        solve_times.append(max(t_solve, 1e-9))
-    print(
-        f"log-log slope t_sc vs ell: {_loglog_slope(lengths, sc_times):.2f}",
-        file=sys.stderr,
-    )
-    print(
-        f"log-log slope t_solve vs ell: {_loglog_slope(lengths, solve_times):.2f}"
-        " (soft target <= 3.5)",
-        file=sys.stderr,
-    )
-    return EXIT_OK
-
-
 def _beta_index(text: str) -> int:
     value = int(text)
     if not 0 <= value <= MAX_BETA_INDEX:
         raise argparse.ArgumentTypeError(f"must be >= 0 and <= {MAX_BETA_INDEX}")
-    return value
-
-
-def _kmax(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be >= 2")
     return value
 
 
@@ -433,12 +372,6 @@ def _parser() -> argparse.ArgumentParser:
         "k", type=_beta_index, help=f"family index (0..{MAX_BETA_INDEX})"
     )
     p_beta.set_defaults(func=cmd_beta)
-
-    p_bench = sub.add_parser("bench", help="CSV scaling benchmark")
-    p_bench.add_argument("--family", choices=("beta",), default="beta")
-    p_bench.add_argument("--kmax", type=_kmax, default=5, help="largest k (>= 2)")
-    p_bench.add_argument("--seed", type=int, default=0, help="RNG seed for the pairs")
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -26,13 +26,13 @@ braid groups*, 1998):
 
 A step that changes nothing (t = 1) meets a pair of the input, which is
 normal, so the pass stops there.  Leading deltas then join the power and
-trailing 1s go.  `multiply` uses the passes when one side has one factor, and
-`conjugate` by one simple s is delta^(p-1) . (tau^(p-1)(complement(s)) . x) . s
-for x = delta^p . x1 ... xr: a left pass, then a right pass on its list.
-`normalize_factors` runs renorm steps with backtracking (after a change, step
-one pair back) until every pair is a fixed point; each change strictly grows
-the prefix-weight vector lexicographically, so the loop terminates.  It serves
-parsing and the products of two braids of two or more factors each.
+trailing 1s go.  Every normal form is built from these passes.  A one-factor
+braid times x is one left pass; any other list of factors is appended to a
+normal list one factor at a time, with a right pass after each, so
+`normalize_factors` is that from an empty list and `multiply` extends the
+tau-twisted factors of the left side by those of the right.  `conjugate` by
+one simple s is delta^(p-1) . (tau^(p-1)(complement(s)) . x) . s for
+x = delta^p . x1 ... xr: a left pass, then a right pass on its list.
 
 Signed input letters are folded in with two identities:
 
@@ -53,8 +53,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from bkl4.simples import (
     COMPLEMENT,
-    FOLLOWS,
-    PROPER_SIMPLES,
     RENORM,
     SIMPLE_NAMES,
     TAU_POWER,
@@ -75,7 +73,6 @@ __all__ = [
     "conjugate",
     "tau_braid",
     "invariants",
-    "random_braid",
 ]
 
 
@@ -127,23 +124,9 @@ def normalize_factors(raw: Sequence[Simple]) -> tuple[int, tuple[Simple, ...]]:
     Accepts any mix of simples including 1 and delta.  The result's factors
     are proper and pairwise left-weighted.
     """
-    fs = list(raw)
-    renorm = RENORM
-    i = 0
-    while i + 1 < len(fs):
-        pair = renorm[fs[i]][fs[i + 1]]
-        if pair[0] is fs[i] and pair[1] is fs[i + 1]:
-            i += 1
-        else:
-            fs[i], fs[i + 1] = pair
-            i = i - 1 if i else 0
-    p = 0
-    while p < len(fs) and fs[p] == Simple.DELTA:
-        p += 1
-    end = len(fs)
-    while end > p and fs[end - 1] == Simple.ONE:
-        end -= 1
-    return p, tuple(fs[p:end])
+    fs: list[Simple] = []
+    _extend(fs, raw)
+    return _finish(fs)
 
 
 def _left_pass(fs: list[Simple], end: int) -> None:
@@ -173,6 +156,14 @@ def _right_pass(fs: list[Simple]) -> None:
             return
         s = grown
     fs[0] = s
+
+
+def _extend(fs: list[Simple], factors: Iterable[Simple]) -> None:
+    """fs . factors in place, one right pass per factor, for fs normal up to
+    leading deltas and trailing 1s (as a pass leaves it)."""
+    for f in factors:
+        fs.append(f)
+        _right_pass(fs)
 
 
 def _finish(fs: list[Simple]) -> tuple[int, tuple[Simple, ...]]:
@@ -242,15 +233,12 @@ def multiply(x: GarsideBraid, y: GarsideBraid) -> GarsideBraid:
         return GarsideBraid(x.power + q, tuple(tw[f] for f in x.factors))
     tw = TAU_POWER[q % 4]
     fs = [tw[f] for f in x.factors]
-    fs.extend(y.factors)
-    if len(x.factors) == 1:
+    if len(fs) == 1:
+        fs.extend(y.factors)
         _left_pass(fs, len(fs))
-        extra, factors = _finish(fs)
-    elif len(y.factors) == 1:
-        _right_pass(fs)
-        extra, factors = _finish(fs)
     else:
-        extra, factors = normalize_factors(fs)
+        _extend(fs, y.factors)
+    extra, factors = _finish(fs)
     return GarsideBraid(x.power + q + extra, factors)
 
 
@@ -326,19 +314,3 @@ def invariants(x: GarsideBraid) -> Invariants:
         k1=k1,
         k2=k2,
     )
-
-
-def random_braid(rng, canonical_length: int, inf: int = 0) -> GarsideBraid:
-    """Sample a normal form with the given canonical length uniformly-by-steps.
-
-    The first factor is uniform over the proper simples and each later factor
-    is uniform over the allowed successors of its predecessor, so the result
-    is already in normal form.
-    """
-    if canonical_length <= 0:
-        return GarsideBraid(inf)
-    fs = [rng.choice(PROPER_SIMPLES)]
-    for _ in range(canonical_length - 1):
-        fs.append(rng.choice(FOLLOWS[fs[-1]]))
-    return GarsideBraid(inf, tuple(fs))
-

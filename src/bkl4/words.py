@@ -57,7 +57,6 @@ __all__ = [
     "format_braid",
     "format_braid_compact",
     "beta_word",
-    "beta_braid",
     "to_artin_letters",
 ]
 
@@ -164,11 +163,6 @@ def beta_word(k: int) -> str:
     if k < 0:
         raise ValueError("beta index must be >= 0")
     return f"a34.a23.a12.a13.a14.c124^{3 * k}.a12^{-3 * k}"
-
-
-def beta_braid(k: int) -> GarsideBraid:
-    """The normalized beta_k braid."""
-    return parse_braid(beta_word(k))
 
 
 _ARTIN_ATOM: dict[Simple, tuple[int, ...]] = {

@@ -22,7 +22,6 @@ from bkl4.engine import (
     conjugate,
     invariants,
     normalize_factors,
-    random_braid,
 )
 from bkl4.simples import (
     ATOMS,
@@ -37,7 +36,8 @@ from bkl4.simples import (
 )
 from bkl4.sliding import cyclic_sliding, final_factor, initial_factor, is_rigid
 from bkl4.solver import CONJUGATE, NOT_CONJUGATE, solve_conjugacy, verify_certificate
-from bkl4.words import beta_braid, to_artin_letters
+from bkl4.words import to_artin_letters
+from braids import beta_braid, random_braid
 from reference_sc import reference_quotient, reference_sc
 
 # ---------------------------------------------------------------------------

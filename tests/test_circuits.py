@@ -24,11 +24,10 @@ from bkl4.engine import (
     braid_from_factors,
     conjugate,
     power,
-    random_braid,
 )
 from bkl4.simples import ATOMS, COMPLEMENT, DIVISORS, WEIGHT, Simple
 from bkl4.sliding import final_factor, initial_factor, is_rigid, slide_to_circuit
-from bkl4.words import beta_braid
+from braids import beta_braid, random_braid
 from reference_sc import orbit_partition, reference_sc
 
 S, W, N, E, M, A = (

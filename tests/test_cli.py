@@ -157,7 +157,7 @@ def test_cap_validation(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err.strip() == f"--cap must be a non-negative integer, not {cap!r}"
     monkeypatch.setenv("B4_SC_CAP", "abc")
-    for argv in (["sc", "a13^2"], ["conj", "a12^2", "a13^2"], ["bench", "--kmax", "2"]):
+    for argv in (["sc", "a13^2"], ["conj", "a12^2", "a13^2"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.strip() == "B4_SC_CAP must be a non-negative integer, not 'abc'"
@@ -292,30 +292,21 @@ def test_beta_words_feed_nf(capsys):
         assert data["rigid"] is True
 
 
-def test_bench_csv(capsys):
-    code, out, err = run(capsys, "bench", "--kmax", "2")
-    assert code == 0
-    rows = out.strip().splitlines()
-    assert rows[0] == "k,ell,sc_size,t_sc,t_solve"
-    first = rows[1].split(",")
-    second = rows[2].split(",")
-    assert first[:3] == ["1", "8", "160"]
-    assert second[:3] == ["2", "11", "352"]
-    assert len(rows) == 3
-    assert "log-log slope t_sc vs ell:" in err
-    assert "log-log slope t_solve vs ell:" in err
-
-    code, out, err = run(capsys, "bench", "--kmax", "1")
-    assert code == 2
-    assert ">= 2" in err
-
-
 def test_help_and_bad_subcommand(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
     assert "nf" in out and "conj" in out
-    code, out, err = run(capsys, "frobnicate")
-    assert code == 2
+    # `bench` was a subcommand; the benchmark is perfbench/ now.
+    for command in ("frobnicate", "bench"):
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, ""), command
+        assert "invalid choice" in err
+        code, out, err = run(capsys, command, "--json")
+        assert code == 2, command
+        assert out.count("\n") == 1
+        data = json.loads(out)
+        assert data["outcome"] == "error" and data["reason"] == "usage"
+        assert "invalid choice" in data["message"]
 
 
 def test_argparse_errors_json(capsys):

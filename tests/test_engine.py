@@ -21,7 +21,6 @@ from bkl4.engine import (
     multiply,
     normalize_factors,
     power,
-    random_braid,
     tau_braid,
 )
 from bkl4.simples import FOLLOWS, LEFT_WEIGHTED, PROPER_SIMPLES, TAU_POWER, Simple
@@ -33,6 +32,7 @@ from bkl4.sliding import (
     preferred_prefix,
 )
 from bkl4.words import to_artin_letters
+from braids import random_braid
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -237,6 +237,21 @@ def test_multiply_agrees_with_the_classical_oracle(u, v):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(-3, 3),
+    raw=st.lists(st.sampled_from(list(Simple)), max_size=16),
+)
+def test_braid_from_factors_agrees_with_the_classical_oracle(p, raw):
+    # Raw factor lists over all 14 simples, 1 and delta at any position.
+    x = braid_from_factors(p, raw)
+    assert_normal(x)
+    spelled = [(Simple.DELTA, x.power)] + [(f, 1) for f in x.factors]
+    assert classical_normalize(to_artin_letters(spelled)) == classical_normalize(
+        to_artin_letters([(Simple.DELTA, p)] + [(f, 1) for f in raw])
+    )
+
+
 _normal_forms = st.builds(
     lambda seed, length, inf: random_braid(random.Random(seed), length, inf),
     st.integers(0, 2**32),
@@ -316,6 +331,6 @@ def test_single_simple_passes_do_not_fall_back(monkeypatch):
     expected = [single_simple_ops(x) for x in cases]
     monkeypatch.setattr(bkl4.engine, "normalize_factors", refuse)
     assert [single_simple_ops(x) for x in cases] == expected
-    # The guard is live: a product of two longer braids still normalizes.
+    # The guard is live: building a braid from raw factors still normalizes.
     with pytest.raises(AssertionError, match="normalize_factors called"):
-        multiply(cases[0], cases[1])
+        braid_from_factors(0, cases[0].factors)

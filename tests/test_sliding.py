@@ -13,7 +13,6 @@ from bkl4.engine import (
     conjugate,
     invert,
     power,
-    random_braid,
 )
 from bkl4.simples import Simple
 from bkl4.sliding import (
@@ -27,7 +26,7 @@ from bkl4.sliding import (
     preferred_prefix,
     slide_to_circuit,
 )
-from bkl4.words import beta_braid
+from braids import beta_braid, random_braid
 
 S, W, N, E, M, A = (
     Simple.A12,

@@ -15,7 +15,6 @@ from bkl4.engine import (
     conjugate,
     invariants,
     power,
-    random_braid,
 )
 from bkl4.simples import Simple
 from bkl4.sliding import is_rigid, slide_to_circuit
@@ -29,7 +28,8 @@ from bkl4.solver import (
     solve_conjugacy,
     verify_certificate,
 )
-from bkl4.words import beta_braid, parse_braid
+from bkl4.words import parse_braid
+from braids import beta_braid, random_braid
 
 S, W, N, E, M, A = (
     Simple.A12,

@@ -10,13 +10,11 @@ import pytest
 from bkl4.engine import (
     GarsideBraid,
     invariants,
-    random_braid,
 )
 from bkl4.simples import Simple
 from bkl4.words import (
     MAX_WORD_LETTERS,
     ParseError,
-    beta_braid,
     beta_word,
     format_braid,
     format_braid_compact,
@@ -24,6 +22,7 @@ from bkl4.words import (
     parse_word,
     to_artin_letters,
 )
+from braids import beta_braid, random_braid
 
 S, W, N, E, M, A = (
     Simple.A12,
