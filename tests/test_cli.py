@@ -296,7 +296,7 @@ def test_help_and_bad_subcommand(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
     assert "nf" in out and "conj" in out
-    # `bench` was a subcommand; the benchmark is perfbench/ now.
+    # `bench` is not a subcommand: the benchmark is perfbench/.
     for command in ("frobnicate", "bench"):
         code, out, err = run(capsys, command)
         assert (code, out) == (2, ""), command
