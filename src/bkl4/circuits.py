@@ -8,7 +8,8 @@ complete conjugacy-class invariant.  It lies in the ultra summit set, so all
 of its elements have the same power of delta and the same canonical length,
 and tau (conjugation by delta) and cycling permute it.  Their orbits
 O(y) = {tau^k(c^j(y))} partition it.  This module computes SC(x) one orbit at
-a time, starting from the circuit representative of x, at the shared power:
+a time, starting from the circuit representative of x (from the sliding walk
+of x, taken here or handed in by the caller), at the shared power:
 
   * Each newly found element seeds an orbit: the cycling walk from the seed
     back to itself and its twists by tau, tau^2 and tau^3.  tau commutes
@@ -47,7 +48,9 @@ a time, starting from the circuit representative of x, at the shared power:
     the candidate is not in SC(x): a periodic point's walk is its own
     circuit, which would already be in `inside` with the candidate in it.
     So cycling and tau images of members must not go into `inside`: their
-    circuits are not recorded.
+    circuits are not recorded.  A candidate that is a member of an orbit
+    closed so far (the search's index holds its factors) is answered at
+    once without a walk, and it never enters `inside` either.
   * Arrows are tested once per orbit, at its canonical representative (the
     member with the smallest factors).  Cycling and tau carry the arrows of
     one member to the arrows of any other, so only the targets of the
@@ -80,7 +83,7 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from bkl4.engine import (
     GarsideBraid,
@@ -98,6 +101,7 @@ from bkl4.simples import (
     Simple,
 )
 from bkl4.sliding import (
+    SlidingTrajectory,
     _cycle_factors,
     cyclic_sliding,
     final_factor,
@@ -170,16 +174,22 @@ def _sort_key(s: Simple) -> tuple[int, int]:
 
 
 def _membership(
-    circuits: Iterable[GarsideBraid], tails: Iterable[GarsideBraid] = ()
+    circuits: Iterable[GarsideBraid],
+    tails: Iterable[GarsideBraid] = (),
+    power: int = 0,
+    closed: Container[Factors] = (),
 ) -> Callable[[GarsideBraid], bool]:
     """SC membership in a class with no rigid element, memoized.
 
     `circuits` must be a union of whole sliding circuits of the class and
-    `tails` braids of the class known not to be in SC.  The returned test
-    answers at once for a braid in either set; otherwise it slides, and
-    stops with False as soon as a step lands in either set.  Each walk adds
+    `tails` braids of the class known not to be in SC; `closed` holds
+    factors of elements of SC, all at SC's power `power` (the search's
+    closed orbits, which grow while it runs).  The returned test answers at
+    once for a braid in any of them; otherwise it slides, and stops with
+    False as soon as a step lands in the first two sets.  Each walk adds
     its circuit, if it closes one, to the first set and the rest of it to
-    the second.
+    the second; an element of `closed` is not added, as its circuit is not
+    known.
     """
     inside = set(circuits)
     outside = set(tails)
@@ -189,6 +199,8 @@ def _membership(
             return True
         if t in outside:
             return False
+        if t.power == power and t.factors in closed:
+            return True
         seen = {t: 0}
         steps = [t]
         while True:
@@ -566,6 +578,8 @@ class SCSet:
     rigid: bool
     orbits: tuple[Orbit, ...]
     complete: bool
+    # The orbit that held `stop_at`, when the search stopped there.
+    _stop: Orbit | None = field(default=None, repr=False)
 
     @property
     def elements(self) -> tuple[GarsideBraid, ...]:
@@ -581,45 +595,58 @@ class SCSet:
     def __iter__(self) -> Iterator[GarsideBraid]:
         return iter(self.conjugators)
 
+    def _stop_conjugator(self, stop_at: GarsideBraid) -> GarsideBraid | None:
+        """conjugators[stop_at] after a search that stopped at `stop_at`, read
+        off the orbit that held it without a lookup; None after a complete
+        search, which did not meet it."""
+        orbit = self._stop
+        if orbit is None:
+            return None
+        return orbit._conjugator(orbit._member(stop_at.factors))
+
 
 def compute_sc(
-    x: GarsideBraid,
+    x: GarsideBraid | SlidingTrajectory,
     *,
     cap: int | None = None,
     stop_at: GarsideBraid | None = None,
 ) -> SCSet:
     """Compute SC(x) orbit by orbit from its circuit representative.
 
-    If `stop_at` is given, the search returns with `complete=False` as soon
-    as the orbit holding that element is closed.  Raises CapExceededError
-    when the set would exceed the cap.
+    `x` is a braid, or the walk `slide_to_circuit` has already taken from
+    one: the set's base is then the walk's start, and the search starts
+    from that walk instead of sliding again.  If `stop_at` is given, the
+    search returns with `complete=False` as soon as the orbit holding that
+    element is closed.  Raises CapExceededError when the set would exceed
+    the cap.
     """
     cap = resolve_cap(cap)
     if cap == 0:
         raise CapExceededError(cap)  # SC(x) is never empty
-    entry = slide_to_circuit(x)
+    entry = x if isinstance(x, SlidingTrajectory) else slide_to_circuit(x)
     start = entry.representative
     power = start.power
     rigid_class = is_rigid(start)
-    member = is_rigid
-    kind: type[Orbit] = _RigidOrbit
-    if not rigid_class:
-        c = entry.cycle_start
-        member = _membership(entry.steps[c:], entry.steps[:c])
-        kind = _CyclingOrbit
     # {key: orbit} in a rigid class, else {factors of each member: orbit}.
     index: dict = {}
     orbits: list[Orbit] = []  # closed orbits, in the order found
     size = 0
+    member = is_rigid
+    kind: type[Orbit] = _RigidOrbit
+    if not rigid_class:
+        c = entry.cycle_start
+        member = _membership(entry.steps[c:], entry.steps[:c], power, index)
+        kind = _CyclingOrbit
 
-    def result(complete: bool) -> SCSet:
+    def result(stop: Orbit | None) -> SCSet:
         return SCSet(
-            x,
+            entry.steps[0],
             start,
             _Conjugators(start, kind, index, tuple(orbits), size),
             rigid_class,
             tuple(sorted(orbits, key=lambda o: o._key)),
-            complete,
+            stop is None,
+            stop,
         )
 
     def found(orbit: Orbit) -> bool:
@@ -632,7 +659,7 @@ def compute_sc(
 
     seed = kind._member(start.factors)
     if found(kind(power, seed, None, Simple.ONE, entry.accumulated_conjugator)):
-        return result(False)
+        return result(orbits[0])
     for orbit in orbits:  # grows while the search runs
         rep = orbit.representative
         orbit.arrows = tuple(_arrows(rep, member))
@@ -656,8 +683,8 @@ def compute_sc(
                 stop = known is None and found(new)
                 orbit._targets.append((new if known is None else known)._key)
                 if stop:
-                    return result(False)
-    return result(True)
+                    return result(new)
+    return result(None)
 
 
 def circuit_graph(

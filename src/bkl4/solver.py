@@ -10,13 +10,15 @@ are, produces a verified certificate z with x = z^-1 y z.  The strategy:
      rx and ry — all conjugacy invariants, so any mismatch is a sound
      NotConjugate.  rx and ry are mostly much shorter than the presented
      braids, so periodicity is tested on them.
-  2. General path: search SC(rx) one tau/cycling orbit at a time from rx,
-     stopping as soon as ry appears.  SC is a complete invariant: if the
-     full set is enumerated without meeting it, the braids are not
+  2. General path: search SC(x) one tau/cycling orbit at a time from rx,
+     starting from the sliding walk of x that step 1 took, and stopping as
+     soon as the orbit holding ry is closed.  SC is a complete invariant: if
+     the full set is enumerated without meeting it, the braids are not
      conjugate.  When the class has a rigid conjugate this search tests
      membership by rigidity alone and is fast; otherwise by memoized
-     sliding walks.  With x^zx = rx, y^zy = ry and rx^g = ry the
-     certificate is zy (zx g)^-1.
+     sliding walks.  The search's conjugators run from x, so with
+     y^zy = ry and x^g = ry (g read off the orbit that held ry) the
+     certificate is zy g^-1.
   3. Optional pseudo-Anosov powering path (`assume_pa=True`): find the
      smallest i <= 26 making x^i (resp. y^j) conjugate to a rigid braid,
      raise both to s = lcm(i, j), and search the small rigid set
@@ -95,22 +97,26 @@ class SolverDecision:
     (with reason 'lambda-mismatch', 'type-mismatch' or 'disjoint-SC'), or
     'inconclusive' (reason 'cap-exceeded').  `periodic` tells whether x is
     periodic, as tested on its circuit representative; it is None when the
-    solver answered before sliding (x == y, or 'lambda-mismatch').
+    solver answered before sliding (x == y, or 'lambda-mismatch').  `path`
+    names the step that decided: 'identical' (x == y), 'lambda', 'type'
+    (the circuit data or periodicity), 'general' (the SC search) or
+    'powering' (under assume_pa; a fallback from it reads 'general').
     """
 
     outcome: str
     certificate: ConjugacyCertificate | None = None
     reason: str | None = None
     periodic: bool | None = None
+    path: str = "general"
 
 
 def _conjugate_decision(
-    x: GarsideBraid, y: GarsideBraid, z: GarsideBraid
+    x: GarsideBraid, y: GarsideBraid, z: GarsideBraid, path: str
 ) -> SolverDecision:
     cert = ConjugacyCertificate(x, y, z)
     if not verify_certificate(cert):  # pragma: no cover - internal soundness
         raise AssertionError(f"certificate failed verification: {cert!r}")
-    return SolverDecision(CONJUGATE, certificate=cert)
+    return SolverDecision(CONJUGATE, certificate=cert, path=path)
 
 
 def is_periodic(x: GarsideBraid) -> bool:
@@ -149,18 +155,20 @@ def _search(
     ty: SlidingTrajectory,
     cap: int | None,
 ) -> SolverDecision:
-    """General path: hunt y's circuit representative inside SC(x), from x's."""
+    """General path: hunt y's circuit representative inside SC(x), from the
+    sliding walk of x."""
     ry = ty.representative
     try:
-        sc = compute_sc(tx.representative, cap=cap, stop_at=ry)
+        sc = compute_sc(tx, cap=cap, stop_at=ry)
     except CapExceededError:
         return SolverDecision(INCONCLUSIVE, reason="cap-exceeded")
-    g = sc.conjugators.get(ry)
+    g = sc._stop_conjugator(ry)
     if g is None:
         return SolverDecision(NOT_CONJUGATE, reason="disjoint-SC")
-    # x^(zx g) = ry = y^zy, so x = y^(zy (zx g)^-1).
-    zx, zy = tx.accumulated_conjugator, ty.accumulated_conjugator
-    return _conjugate_decision(x, y, multiply(zy, invert(multiply(zx, g))))
+    # x^g = ry = y^zy, so x = y^(zy g^-1).
+    return _conjugate_decision(
+        x, y, multiply(ty.accumulated_conjugator, invert(g)), "general"
+    )
 
 
 def solve_conjugacy(
@@ -172,18 +180,21 @@ def solve_conjugacy(
 ) -> SolverDecision:
     """Decide conjugacy of x and y; produce a verified certificate if so."""
     if x == y:
-        return _conjugate_decision(x, y, IDENTITY)
+        return _conjugate_decision(x, y, IDENTITY, "identical")
     ix, iy = invariants(x), invariants(y)
     if ix.weight != iy.weight:
-        return SolverDecision(NOT_CONJUGATE, reason="lambda-mismatch")
+        return SolverDecision(NOT_CONJUGATE, reason="lambda-mismatch", path="lambda")
     tx, ty = slide_to_circuit(x), slide_to_circuit(y)
     rx, ry = tx.representative, ty.representative
     periodic = is_periodic(rx)
+    mismatch = SolverDecision(
+        NOT_CONJUGATE, reason="type-mismatch", periodic=periodic, path="type"
+    )
     if periodic != is_periodic(ry):
-        return SolverDecision(NOT_CONJUGATE, reason="type-mismatch", periodic=periodic)
+        return mismatch
     irx, iry = invariants(rx), invariants(ry)
     if (irx.inf, irx.sup, irx.k1, irx.k2) != (iry.inf, iry.sup, iry.k1, iry.k2):
-        return SolverDecision(NOT_CONJUGATE, reason="type-mismatch", periodic=periodic)
+        return mismatch
     decision = None
     if assume_pa and not (is_rigid(rx) and is_rigid(ry)):
         decision = _solve_by_powering(x, y, cap)
@@ -208,16 +219,16 @@ def _solve_by_powering(
     try:
         sc = compute_sc(ys, cap=cap, stop_at=xs)
     except CapExceededError:
-        return SolverDecision(INCONCLUSIVE, reason="cap-exceeded")
-    c = sc.conjugators.get(xs)
+        return SolverDecision(INCONCLUSIVE, reason="cap-exceeded", path="powering")
+    c = sc._stop_conjugator(xs)
     if c is None:
         # x^s and y^s are not conjugate, hence neither are x and y.
-        return SolverDecision(NOT_CONJUGATE, reason="disjoint-SC")
+        return SolverDecision(NOT_CONJUGATE, reason="disjoint-SC", path="powering")
     z = multiply(multiply(z2, c), invert(z1))
     if conjugate(power(y, s), z) != power(x, s):  # pragma: no cover - soundness
         raise AssertionError(f"powering certificate failed for the {s}th powers")
     cert = ConjugacyCertificate(x, y, z)
     if verify_certificate(cert):
-        return SolverDecision(CONJUGATE, certificate=cert)
+        return SolverDecision(CONJUGATE, certificate=cert, path="powering")
     # Root uniqueness did not apply (input not pseudo-Anosov): fall back.
     return None

@@ -34,7 +34,13 @@ from bkl4.simples import (
     Simple,
     self_check,
 )
-from bkl4.sliding import cyclic_sliding, final_factor, initial_factor, is_rigid
+from bkl4.sliding import (
+    cyclic_sliding,
+    final_factor,
+    initial_factor,
+    is_rigid,
+    slide_to_circuit,
+)
 from bkl4.solver import CONJUGATE, NOT_CONJUGATE, solve_conjugacy, verify_certificate
 from bkl4.words import to_artin_letters
 from braids import beta_braid, random_braid
@@ -420,3 +426,27 @@ def test_sc_search_matches_reference_on_acceptance_pools(random_sc_pool, beta_sc
         orbits, labels = reference_quotient(reference)
         assert [orbit.members for orbit in sc.orbits] == orbits
         assert quotient_graph(sc).edge_labels == labels
+
+
+def test_sc_from_a_sliding_walk_matches_sc_from_its_start(random_sc_pool, beta_sc):
+    # The solver hands compute_sc the sliding walk it has already taken; the
+    # search from that walk must find the set the search from its start does.
+    sets = [beta_sc[k][1] for k in range(1, 9)] + list(random_sc_pool)
+    sets += [compute_sc(x) for x in _mixed_weight_rigid_braids(100)]
+    sets += [compute_sc(_edge_form(r, ks)) for r, ks in _edge_cases()]
+    for sc in sets:
+        walked = compute_sc(slide_to_circuit(sc.base))
+        assert (walked.base, walked.representative) == (sc.base, sc.representative)
+        assert (walked.size, walked.rigid, walked.complete) == (sc.size, sc.rigid, True)
+        assert [(o.representative, o.size, o.arrows) for o in walked.orbits] == [
+            (o.representative, o.size, o.arrows) for o in sc.orbits
+        ]
+        assert quotient_graph(walked).edge_labels == quotient_graph(sc).edge_labels
+        assert dict(walked.conjugators) == dict(sc.conjugators)
+        # Verifying every conjugator of beta_5..beta_8 takes about 20 s on a
+        # 2-core VM; there each orbit's representative is verified.
+        checked = walked.elements
+        if sc.size > 1000:
+            checked = [orbit.representative for orbit in walked.orbits]
+        for element in checked:
+            assert conjugate(walked.base, walked.conjugators[element]) == element

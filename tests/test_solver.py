@@ -7,6 +7,9 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bkl4.circuits
+import bkl4.solver
+from bkl4.circuits import compute_sc
 from bkl4.engine import (
     IDENTITY,
     GarsideBraid,
@@ -28,8 +31,9 @@ from bkl4.solver import (
     solve_conjugacy,
     verify_certificate,
 )
-from bkl4.words import parse_braid
+from bkl4.words import parse_braid, to_artin_letters
 from braids import beta_braid, random_braid
+from reference_sc import reference_sc
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -55,6 +59,7 @@ def test_equal_braids_are_conjugate():
     decision = solve_conjugacy(b, b)
     assert decision.outcome == CONJUGATE
     assert decision.certificate.z == IDENTITY
+    assert decision.path == "identical"
 
 
 def test_lambda_mismatch_frozen():
@@ -62,6 +67,7 @@ def test_lambda_mismatch_frozen():
     assert decision.outcome == NOT_CONJUGATE
     assert decision.reason == "lambda-mismatch"
     assert decision.certificate is None
+    assert decision.path == "lambda"
 
 
 def test_type_mismatch_periodic_vs_not():
@@ -71,6 +77,7 @@ def test_type_mismatch_periodic_vs_not():
     decision = solve_conjugacy(x, gamma)
     assert decision.outcome == NOT_CONJUGATE
     assert decision.reason == "type-mismatch"
+    assert decision.path == "type"
 
 
 def test_type_mismatch_inf_sup():
@@ -80,6 +87,7 @@ def test_type_mismatch_inf_sup():
     )
     assert decision.outcome == NOT_CONJUGATE
     assert decision.reason == "type-mismatch"
+    assert decision.path == "type"
 
 
 def test_disjoint_sc_frozen():
@@ -91,6 +99,7 @@ def test_disjoint_sc_frozen():
     )
     assert decision.outcome == NOT_CONJUGATE
     assert decision.reason == "disjoint-SC"
+    assert decision.path == "general"
 
 
 def test_conjugate_pairs_random():
@@ -168,6 +177,22 @@ def test_assume_pa_agrees_with_general_path():
             assert verify_certificate(d2.certificate)
 
 
+def test_powering_path_and_its_fallback():
+    # Under assume_pa: sigma1 sigma2 sigma1 has a rigid square, and powering
+    # decides; a23^2 a12^3 has no rigid power, and the rigid powers of
+    # c234 a23 lift to no certificate, so both fall back to the general path.
+    for word, w, path in (
+        ("c123.a12", "a14^3", "powering"),
+        ("a23^2.a12^3", "c134.a23^2", "general"),
+        ("c234.a23", "a23^2", "general"),
+    ):
+        x = parse_braid(word)
+        decision = solve_conjugacy(x, conjugate(x, parse_braid(w)), assume_pa=True)
+        assert (decision.outcome, decision.path) == (CONJUGATE, path), word
+    assert power_to_rigid(parse_braid("a23^2.a12^3")) is None
+    assert power_to_rigid(parse_braid("c234.a23")) is not None
+
+
 def test_cap_exceeded_is_inconclusive():
     x = beta_braid(1)
     w = GarsideBraid(0, (M,))
@@ -176,8 +201,10 @@ def test_cap_exceeded_is_inconclusive():
     decision = solve_conjugacy(x, y, cap=1)
     assert decision.outcome == INCONCLUSIVE
     assert decision.reason == "cap-exceeded"
+    assert decision.path == "general"
     # With the default cap the same pair resolves.
-    assert solve_conjugacy(x, y).outcome == CONJUGATE
+    decision = solve_conjugacy(x, y)
+    assert (decision.outcome, decision.path) == (CONJUGATE, "general")
 
 
 def test_solver_respects_weight_invariant():
@@ -209,9 +236,19 @@ def test_conjugates_are_never_called_not_conjugate(x, w):
         assert verify_certificate(decision.certificate)
 
 
-def test_long_conjugates_are_solved_from_their_circuit_representatives():
+def test_long_conjugates_are_solved_from_their_circuit_representatives(monkeypatch):
     # The presented braids are long conjugates; the solver works from their
-    # short circuit representatives and must still certify every hit.
+    # short circuit representatives and must still certify every hit.  The
+    # search starts from the walk the solver took from x: x and y slide once
+    # each, and the search itself takes no second walk.
+    walks = []
+
+    def counted(x):
+        walks.append(x)
+        return slide_to_circuit(x)
+
+    monkeypatch.setattr(bkl4.solver, "slide_to_circuit", counted)
+    monkeypatch.setattr(bkl4.circuits, "slide_to_circuit", counted)
     rng = random.Random(2012)
     # A non-rigid class, and the class of its reversal: same circuit data,
     # disjoint SC sets.
@@ -233,7 +270,10 @@ def test_long_conjugates_are_solved_from_their_circuit_representatives():
             long_x, long_y = conjugate(x, u), conjugate(y, w)
             rep = slide_to_circuit(long_x).representative
             assert long_x.canonical_length > rep.canonical_length
+            walks.clear()
             decision = solve_conjugacy(long_x, long_y)
+            assert decision.path == "general"
+            assert walks == [long_x, long_y]
             if conjugate_pair:
                 assert decision.outcome == CONJUGATE
                 cert = decision.certificate
@@ -278,3 +318,53 @@ def test_rigid_braids_are_never_periodic(x, m):
     assert is_rigid(xm)
     assert xm.canonical_length == m * x.canonical_length
     assert not is_periodic(x)
+
+
+_ARTIN = {1: Simple.A12, 2: Simple.A23, 3: Simple.A34}
+
+
+def _reversed(x: GarsideBraid) -> GarsideBraid:
+    """x spelled backwards in the Artin generators: same weight, and often
+    the same circuit data, but in general another class."""
+    letters = to_artin_letters([(Simple.DELTA, x.power)] + [(f, 1) for f in x.factors])
+    return braid_from_letters(
+        (_ARTIN[abs(i)], 1 if i > 0 else -1) for i in reversed(letters)
+    )
+
+
+def _search_start(seed: int, nonrigid: bool) -> GarsideBraid:
+    """A random braid of canonical length 1..11 from `seed`; with `nonrigid`,
+    the first one drawn whose circuit representative is not rigid (about
+    one in six is, and only those searches use the membership memo)."""
+    rng = random.Random(seed)
+    while True:
+        x = random_braid(rng, rng.randrange(1, 12), rng.randrange(-2, 3))
+        if not nonrigid or not is_rigid(slide_to_circuit(x).representative):
+            return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    nonrigid=st.booleans(),
+    w=_braids,
+    reverse=st.booleans(),
+)
+def test_search_decisions_agree_with_the_complete_sc(seed, nonrigid, w, reverse):
+    x = _search_start(seed, nonrigid)
+    # A hit or a disjoint-SC answer must agree with a complete SC(rx).  In a
+    # class with no rigid element the search answers members of closed
+    # orbits without sliding them, so there SC(rx) must also equal the plain
+    # per-element search, which does not.
+    y = _reversed(x) if reverse else conjugate(x, w)
+    decision = solve_conjugacy(x, y)
+    sc = compute_sc(slide_to_circuit(x).representative)
+    assert sc.complete
+    if not sc.rigid:
+        assert set(sc) == set(reference_sc(x))
+    if decision.outcome == CONJUGATE:
+        assert verify_certificate(decision.certificate)
+    elif decision.reason != "disjoint-SC":
+        return
+    ry = slide_to_circuit(y).representative
+    assert (ry in sc) == (decision.outcome == CONJUGATE)
