@@ -25,9 +25,11 @@ of x, taken here or handed in by the caller), at the shared power:
     either are rotations of each other or share no window.  The orbit keeps
     the m twists of W that are not rotations of one another, as bytes, and
     has m*d members.  Its key is the least window over them (its smallest
-    member), and the set is one dict {key: orbit}.  An arrow target is
-    looked for first in the words of the orbit it leaves and of that
-    orbit's parent, by substring search, and only the others get a key.
+    member); it starts with their least letter, so only windows that start
+    there are compared.  The set is one dict {key: orbit}.  Joined by a
+    byte no simple uses, the words make one haystack for substring search:
+    an arrow target is looked for first in the orbit it leaves and in that
+    orbit's parent, and only the others get a key.
     Members, membership, conjugators and the circuit graph read windows off
     the words: a member's position j in the walk is a `bytes.find`.
   * In any other class cycling renormalizes, so an orbit keeps its members'
@@ -40,13 +42,13 @@ of x, taken here or handed in by the caller), at the shared power:
     some element of SC(x) is rigid, SC(x) is exactly the set of rigid
     conjugates, so membership testing degenerates to a rigidity check;
     otherwise a candidate is tested by sliding it, with a memo kept for the
-    whole search.  Two sets of braids are kept: `inside` holds whole
-    sliding circuits only (the start's circuit, from the walk that finds
-    the start, and the circuit closed by every later walk), `outside` the
-    walks' pre-periodic tails.  A candidate in either set is answered at
-    once, and a walk that reaches either set at step 1 or later shows that
-    the candidate is not in SC(x): a periodic point's walk is its own
-    circuit, which would already be in `inside` with the candidate in it.
+    whole search.  Two sets of (power, factors) tuples are kept: `inside`
+    holds whole sliding circuits only (the start's circuit, from the walk
+    that finds the start, and the circuit closed by every later walk),
+    `outside` the walks' pre-periodic tails.  A candidate in either set is
+    answered at once, and a walk that reaches either set at step 1 or later
+    shows that the candidate is not in SC(x): a periodic point's walk is its
+    own circuit, which would already be in `inside` with the candidate in it.
     So cycling and tau images of members must not go into `inside`: their
     circuits are not recorded.  A candidate that is a member of an orbit
     closed so far (the search's index holds its factors) is answered at
@@ -81,11 +83,12 @@ CapExceededError rather than silently truncating.
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Iterator
 
 from bkl4.engine import (
+    Factors,
     GarsideBraid,
     braid_from_factors,
     conjugate,
@@ -103,7 +106,7 @@ from bkl4.simples import (
 from bkl4.sliding import (
     SlidingTrajectory,
     _cycle_factors,
-    cyclic_sliding,
+    _slide,
     final_factor,
     initial_factor,
     is_rigid,
@@ -126,13 +129,13 @@ __all__ = [
 
 DEFAULT_CAP = 10**6
 
-Factors = tuple[Simple, ...]
 # How an orbit holds a member's factors: bytes in a rigid class, else a tuple.
 Member = bytes | Factors
 
 # _TWIST[k] translates bytes of simples by tau^k.
 _TWIST = tuple(bytes(row) + bytes(range(len(row), 256)) for row in TAU_POWER)
 _SIMPLES = tuple(Simple)
+_LETTERS = tuple(bytes((s,)) for s in _SIMPLES)  # each simple as one byte
 
 
 class CapExceededError(RuntimeError):
@@ -191,30 +194,31 @@ def _membership(
     the second; an element of `closed` is not added, as its circuit is not
     known.
     """
-    inside = set(circuits)
-    outside = set(tails)
+    inside = {(y.power, y.factors) for y in circuits}
+    outside = {(y.power, y.factors) for y in tails}
 
     def member(t: GarsideBraid) -> bool:
-        if t in inside:
+        y = (t.power, t.factors)
+        if y in inside:
             return True
-        if t in outside:
+        if y in outside:
             return False
         if t.power == power and t.factors in closed:
             return True
-        seen = {t: 0}
-        steps = [t]
+        seen = {y: 0}  # the walk, in order
         while True:
-            y = cyclic_sliding(steps[-1]).result
+            p, factors, _ = _slide(*y)
+            y = (p, factors)
             if y in inside or y in outside:
-                outside.update(steps)
+                outside.update(seen)
                 return False
             hit = seen.get(y)
             if hit is not None:
+                steps = list(seen)
                 inside.update(steps[hit:])
                 outside.update(steps[:hit])
                 return hit == 0
-            seen[y] = len(steps)
-            steps.append(y)
+            seen[y] = len(seen)
 
     return member
 
@@ -363,13 +367,14 @@ class _RigidOrbit(Orbit):
     """An orbit of a rigid class, kept as the tau twists of its seed's
     cyclic word W (see the module docstring); members are bytes of factors.
 
-    `_words` holds the twists of W that are not rotations of one another,
-    tau^0(W) first, each doubled so that every window is a substring;
+    `_haystack` holds the twists of W that are not rotations of one
+    another, tau^0(W) first, each doubled so that every window is a
+    substring, joined by a byte no simple uses; `_words` splits them.
     c^j(seed) is the window at position j of the first, for j below the
     period d of W.
     """
 
-    __slots__ = ("_words", "_period")
+    __slots__ = ("_haystack", "_period")
 
     _member = staticmethod(bytes)
 
@@ -385,17 +390,27 @@ class _RigidOrbit(Orbit):
         u = -self._power % 4
         word = b"".join(seed.translate(_TWIST[i * u % 4]) for i in range(4))
         doubled = word + word
-        self._period = doubled.find(word, 1)
-        self._words = [doubled]
+        self._period = d = doubled.find(word, 1)
+        self._haystack = doubled
         for twist in _TWIST[1:]:
             if not self._holds(seed.translate(twist)):
-                self._words.append(doubled.translate(twist))
-        r, d = len(seed), self._period
-        self._key = min(w[j : j + r] for w in self._words for j in range(d))
+                self._haystack += b"\xff" + doubled.translate(twist)
+        # The least window starts with the least letter; a failed find
+        # leaves j at -1 for the next word.
+        least = next(filter(self._haystack.__contains__, _LETTERS))
+        r, windows, j = len(seed), [], -1
+        for w in self._words:
+            while (j := w.find(least, j + 1, d)) >= 0:
+                windows.append(w[j : j + r])
+        self._key = min(windows)
 
     @staticmethod
     def _factors(member: bytes) -> Factors:
         return tuple(map(_SIMPLES.__getitem__, member))
+
+    @property
+    def _words(self) -> list[bytes]:
+        return self._haystack.split(b"\xff")
 
     @property
     def size(self) -> int:
@@ -410,7 +425,7 @@ class _RigidOrbit(Orbit):
         index[self._key] = self
 
     def _holds(self, member: bytes) -> bool:
-        return any(member in w for w in self._words)
+        return member in self._haystack
 
     def _walk_order(self) -> Iterator[bytes]:
         r = len(self._seed)
@@ -427,9 +442,9 @@ class _RigidOrbit(Orbit):
         return min(positions)
 
     def _iotas(self, i: int, j: int) -> Factors:
-        # iota(c^i(seed)) = u(W[i]) = W[i + r].
+        # iota(c^i(seed)) = u(W[i]) = W[i + r], in the first word.
         r = len(self._seed)
-        return self._factors(self._words[0][i + r : j + r])
+        return self._factors(self._haystack[i + r : j + r])
 
 
 class _CyclingOrbit(Orbit):
@@ -549,15 +564,38 @@ class _Conjugators(Mapping):
     def __contains__(self, element: object) -> bool:
         return self._locate(element) is not None
 
-    def __iter__(self) -> Iterator[GarsideBraid]:
+    def _walk(self) -> Iterator[tuple[GarsideBraid, Orbit, Member]]:
+        """Every element, its orbit and its member there, in search order."""
         p = self._start.power
         for orbit in self._found:
-            factors = orbit._factors
             for member in orbit._walk_order():
-                yield GarsideBraid(p, factors(member))
+                yield GarsideBraid(p, orbit._factors(member)), orbit, member
+
+    def __iter__(self) -> Iterator[GarsideBraid]:
+        return (element for element, _, _ in self._walk())
 
     def __len__(self) -> int:
         return self._size
+
+    def items(self) -> ItemsView:
+        return _Entries(self)
+
+    def values(self) -> ValuesView:
+        return _Conjugates(self)
+
+
+class _Entries(ItemsView):
+    """`_Conjugators.items()`, read off the orbits in search order."""
+
+    def __iter__(self) -> Iterator[tuple[GarsideBraid, GarsideBraid]]:
+        return ((y, orbit._conjugator(m)) for y, orbit, m in self._mapping._walk())
+
+
+class _Conjugates(ValuesView):
+    """`_Conjugators.values()`, read off the orbits in search order."""
+
+    def __iter__(self) -> Iterator[GarsideBraid]:
+        return (orbit._conjugator(m) for _, orbit, m in self._mapping._walk())
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -17,18 +17,20 @@ generators, `^` for integer powers, factors separated by `.` or whitespace.
 
 Exit codes: 0 success / conjugate, 1 not conjugate, 2 parse or usage error,
 3 cap exceeded (the safety cap is `--cap` or the B4_SC_CAP variable, a
-non-negative integer), 4 internal error (out of memory, recursion too deep
-or a failed soundness check; never an answer).
+non-negative integer), 4 internal error (out of memory, recursion too deep,
+a failed soundness check, or stdout closed before the output was written;
+never an answer).
 
 All output is UTF-8 text.  `--json` (and `--graph json`, `--quotient json`)
 emits exactly one JSON document on stdout, failures included: a parse or
 usage error (argparse's included: an unknown flag, a missing argument, a
-bad choice) is {"outcome": "error", "reason": "parse-error" | "usage",
-"message": ...}, a search over the cap is {"outcome": "inconclusive",
-"reason": "cap-exceeded", ...}, and an internal error is {"outcome": "error",
-"reason": "internal-error", ...}.  Graph output is graphviz-compatible DOT:
-vertices are labeled with compact normal forms, edges with the arrow names
-that induce them, and quotient vertices carry their orbit member counts.
+bad choice; and `--json` with a DOT mode) is {"outcome": "error",
+"reason": "parse-error" | "usage", "message": ...}, a search over the cap
+is {"outcome": "inconclusive", "reason": "cap-exceeded", ...}, and an
+internal error is {"outcome": "error", "reason": "internal-error", ...}.
+Graph output is graphviz-compatible DOT: vertices are labeled with compact
+normal forms, edges with the arrow names that induce them, and quotient
+vertices carry their orbit member counts.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -237,6 +240,9 @@ def _json_quotient(sc: SCSet) -> dict:
 
 
 def cmd_sc(args: argparse.Namespace) -> int:
+    if args.json and "dot" in (args.graph, args.quotient):
+        message = "bkl4 sc: error: argument --json: not allowed with DOT output"
+        raise _CliError(EXIT_USAGE, "usage", message)
     x = _parse(args.word)
     sc = _compute_sc(x, _cap(args.cap))
     if args.graph is not None:
@@ -399,6 +405,20 @@ def _json_output(argv: Sequence[str]) -> bool:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed early (`bkl4 ... | head`); the flush at exit goes to
+        # the null device, not to the pipe again.
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("internal error: stdout closed early (broken pipe)", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _main(argv: list[str]) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)

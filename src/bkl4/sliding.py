@@ -22,17 +22,21 @@ renorm steps over the factors (see `bkl4.engine`): cycling puts iota(x)
 after x2 ... xr with a right pass, and sliding conjugates by t with a left
 pass and a right pass.  `slide_to_circuit` iterates sliding until an element
 repeats, which finds the periodic part (a circuit of the sliding orbit) in
-finitely many steps.
+finitely many steps.  It, and the membership walks of `bkl4.circuits`, slide
+(power, factors) tuples with `_slide` and build braids only for its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, starmap
 from typing import NamedTuple
 
 from bkl4.engine import (
+    Factors,
     GarsideBraid,
-    _conjugate_by_simple,
+    _ONE,
+    _conjugate_factors,
     _finish,
     _right_pass,
     braid_from_factors,
@@ -116,14 +120,21 @@ def decycling(x: GarsideBraid) -> GarsideBraid:
     )
 
 
+def _slide(power: int, factors: Factors) -> tuple[int, Factors, Simple]:
+    """s(x) for x = delta^power . factors, as its power, its factors and the
+    prefix used; the walks of the SC search slide with it."""
+    if not factors:
+        return power, factors, _ONE
+    t = MEET[TAU_POWER[-power % 4][factors[0]]][COMPLEMENT[factors[-1]]]
+    if t == _ONE:
+        return power, factors, t
+    return (*_conjugate_factors(power, factors, t), t)
+
+
 def cyclic_sliding(x: GarsideBraid) -> SlidingStep:
     """s(x) = x^p(x) with the prefix used; delta powers slide to themselves."""
-    if not x.factors:
-        return SlidingStep(x, Simple.ONE)
-    t = MEET[initial_factor(x)][COMPLEMENT[x.factors[-1]]]
-    if t == Simple.ONE:
-        return SlidingStep(x, Simple.ONE)
-    return SlidingStep(_conjugate_by_simple(x, t), t)
+    power, factors, t = _slide(x.power, x.factors)
+    return SlidingStep(x if t == _ONE else GarsideBraid(power, factors), t)
 
 
 def is_rigid(x: GarsideBraid) -> bool:
@@ -158,21 +169,20 @@ class SlidingTrajectory:
 
 def slide_to_circuit(x: GarsideBraid) -> SlidingTrajectory:
     """Iterate cyclic sliding from x until an element repeats."""
-    seen: dict[GarsideBraid, int] = {x: 0}
-    steps: list[GarsideBraid] = [x]
+    y = (x.power, x.factors)
+    # {(power, factors): position}, in walk order.
+    seen = {y: 0}
     prefixes: list[Simple] = []
-    y = x
     while True:
-        step = cyclic_sliding(y)
-        prefixes.append(step.prefix)
-        y = step.result
+        power, factors, t = _slide(*y)
+        prefixes.append(t)
+        y = (power, factors)
         hit = seen.get(y)
         if hit is not None:
             return SlidingTrajectory(
-                steps=tuple(steps),
+                steps=(x, *starmap(GarsideBraid, islice(seen, 1, None))),
                 prefixes=tuple(prefixes),
                 cycle_start=hit,
                 accumulated_conjugator=braid_from_factors(0, prefixes[:hit]),
             )
-        seen[y] = len(steps)
-        steps.append(y)
+        seen[y] = len(seen)

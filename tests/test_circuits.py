@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,20 @@ def test_conjugators_mapping_is_lazy_and_read_only():
         sc.conjugators[shifted]
 
 
+def test_conjugator_items_and_values_follow_search_order():
+    # items() and values() walk the orbits instead of looking each element
+    # up again; they agree with reading every element in turn.
+    for x in (beta_braid(1), braid_from_factors(0, [Simple.C123, M, M, W])):
+        sc = compute_sc(x)
+        conjugators = sc.conjugators
+        entries = [(e, conjugators[e]) for e in conjugators]
+        assert list(conjugators.items()) == entries
+        assert list(conjugators.values()) == [z for _, z in entries]
+        assert len(conjugators.items()) == len(entries) == sc.size
+        assert entries[-1] in conjugators.items()
+    assert not sc.rigid and len(sc.orbits) > 1
+
+
 def test_arrow_target_with_another_power_is_an_error(monkeypatch):
     # An arrow never changes the power inside SC; if one did, the search
     # must stop rather than take the target for a new element.
@@ -401,18 +416,21 @@ def test_diagonal_orbits_are_at_most_bivalent():
 
 # Factors fixed by tau^2: words over them have symmetric cyclic words.
 _TAU2_FIXED = (M, A, Simple.P12_34, Simple.P14_23)
+_RIGID_KINDS = ("random", "symmetric", "periodic")
 
 
-def _rigid_braid(seed: int, symmetric: bool, shift: int, exponent: int) -> GarsideBraid:
-    """The first rigid braid drawn from `seed`: a random normal form, or a
-    word over the tau^2-fixed simples, times delta^shift (which changes the
-    twist u = tau^-p of cycling), raised to `exponent` (a power repeats the
-    cyclic word)."""
+def _rigid_braid(seed: int, kind: str, shift: int, exponent: int) -> GarsideBraid:
+    """The first rigid braid drawn from `seed`: a random normal form, a
+    word over the tau^2-fixed simples or a block of factors repeated, times
+    delta^shift (which changes the twist u = tau^-p of cycling), raised to
+    `exponent` (a power repeats the cyclic word)."""
     rng = random.Random(seed)
     while True:
         length = rng.randrange(1, 9)
-        if symmetric:
+        if kind == "symmetric":
             factors = tuple(rng.choice(_TAU2_FIXED) for _ in range(length))
+        elif kind == "periodic":
+            factors = random_braid(rng, length % 3 + 1).factors * rng.randrange(2, 4)
         else:
             factors = random_braid(rng, length).factors
         x = power(braid_from_factors(shift, factors), exponent)
@@ -420,44 +438,70 @@ def _rigid_braid(seed: int, symmetric: bool, shift: int, exponent: int) -> Garsi
             return x
 
 
-def _check_rigid_orbits(x: GarsideBraid) -> bool:
+def _check_rigid_orbits(x: GarsideBraid) -> set[str]:
     """Check the keyed orbits of SC(x), x rigid, against orbits closed
-    element by element; True if some orbit is smaller than 4*len."""
+    element by element.  Returns what the set showed: "small" if some orbit
+    is smaller than 4*len, "repeat" if the least letter of some orbit
+    starts more than one of its members, "twisted" if p is not 0 mod 4."""
     sc = compute_sc(x)
     assert sc.rigid
     assert set(sc.elements) == set(reference_sc(x))
-    assert [o.members for o in sc.orbits] == orbit_partition(sc.elements)
-    for orbit in sc.orbits:
+    reference = orbit_partition(sc.elements)
+    assert [o.members for o in sc.orbits] == reference
+    p, r = sc.representative.power, x.canonical_length
+    shown = {"twisted"} if p % 4 else set()
+    for i, orbit in enumerate(sc.orbits):
         members = orbit.members
         assert orbit.size == len(members) == len(set(members))
         assert orbit.representative == members[0]
         for y in members:
             assert is_rigid(y) and y in sc and y in orbit
+        # The key is the least of all m*d windows, found by brute force.
+        windows = [y.factors for y in reference[i]]
+        assert orbit._key == bytes(min(windows))
+        least = min(min(w) for w in windows)
+        if sum(w[0] == least for w in windows) > 1:
+            shown.add("repeat")
+        # Same-length non-members are not in the orbit: the next orbit's
+        # members, and windows that straddle two of the orbit's words.
+        straddling = {
+            GarsideBraid(p, tuple(map(Simple, (u + v)[len(u) - k : len(u) - k + r])))
+            for u in orbit._words
+            for v in orbit._words
+            for k in range(1, r)
+        }
+        for y in (*reference[(i + 1) % len(reference)], *straddling):
+            assert (y in orbit) == (y in reference[i])
+        if orbit.size < 4 * r:
+            shown.add("small")
     assert sc.size == sum(o.size for o in sc.orbits) == len(set(sc.elements))
     for y, z in sc.conjugators.items():
         assert conjugate(x, z) == y
-    return any(o.size < 4 * x.canonical_length for o in sc.orbits)
+    return shown
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    symmetric=st.booleans(),
+    kind=st.sampled_from(_RIGID_KINDS),
     shift=st.integers(-3, 3),
     exponent=st.integers(1, 3),
 )
-def test_rigid_orbit_keys_match_materialized_orbits(seed, symmetric, shift, exponent):
-    _check_rigid_orbits(_rigid_braid(seed, symmetric, shift, exponent))
+def test_rigid_orbit_keys_match_materialized_orbits(seed, kind, shift, exponent):
+    _check_rigid_orbits(_rigid_braid(seed, kind, shift, exponent))
 
 
 def test_rigid_orbit_keys_on_symmetric_words():
     # The check must meet orbits that a periodic cyclic word, a twist that
-    # is a rotation, or both make smaller than 4*len.
-    small = sum(
-        _check_rigid_orbits(_rigid_braid(seed, seed % 2 == 0, seed % 7 - 3, seed % 3 + 1))
-        for seed in range(60)
-    )
-    assert small >= 30
+    # is a rotation, or both make smaller than 4*len; least letters that
+    # start several members; and twists u = tau^-p other than 1.
+    shown: Counter[str] = Counter()
+    for seed in range(60):
+        kind = _RIGID_KINDS[seed % 3]
+        x = _rigid_braid(seed, kind, seed % 7 - 3, seed // 3 % 3 + 1)
+        shown.update(_check_rigid_orbits(x))
+    assert shown["small"] >= 30
+    assert shown["repeat"] >= 20 and shown["twisted"] >= 20
 
 
 def test_sc_sets_hold_no_reference_cycles():

@@ -387,6 +387,65 @@ def test_internal_errors_exit_4(capsys, monkeypatch):
     assert "certificate failed verification" in data["message"]
 
 
+def test_json_with_a_dot_mode_is_a_usage_error(capsys):
+    # `--json` promises exactly one JSON document, which DOT output is not.
+    for mode in (["--graph", "dot"], ["--quotient=dot"]):
+        for flags in (["--json", *mode], [*mode, "--json"]):
+            argv = ["sc", *flags, "a13^2"]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (2, ""), argv
+            assert out.count("\n") == 1
+            document = json.loads(out)
+            assert (document["outcome"], document["reason"]) == ("error", "usage")
+            assert "--json" in document["message"]
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+_CLOSED_MESSAGE = "internal error: stdout closed early (broken pipe)\n"
+
+
+def test_closed_stdout_exits_4(capsys, monkeypatch):
+    # A closed stdout is never an answer: exit 1 would read as "not
+    # conjugate".  The message goes to stderr, JSON asked for or not.
+    for argv in (
+        ["conj", "--json", "a12", "a23"],
+        ["conj", "a12", "a24"],
+        ["sc", "--graph", "dot", "a13^2"],
+        ["sc", "--json", "--bogus", "a13^2"],
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _ClosedStdout())
+            code = main(argv)
+        assert code == 4, argv
+        assert capsys.readouterr().err == _CLOSED_MESSAGE
+
+
+def test_closed_pipe_exits_4_without_a_traceback():
+    # The read end is closed before the command starts, so its first write
+    # fails; nothing is left to fail again when the interpreter exits.
+    src = os.path.dirname(os.path.dirname(bkl4.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bkl4.cli", "conj", "--json", "a12", "a23"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (4, _CLOSED_MESSAGE)
+
+
 def test_beta_200_hits_the_cap_in_bounded_memory():
     # |SC(beta_200)| = 1,456,840 is over the default cap.  Rigid orbits are
     # counted without storing their members, so the cap fires well inside a

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkl4.engine import (
     IDENTITY,
@@ -12,9 +14,10 @@ from bkl4.engine import (
     braid_from_factors,
     conjugate,
     invert,
+    multiply,
     power,
 )
-from bkl4.simples import Simple
+from bkl4.simples import SIMPLE_NAMES, Simple
 from bkl4.sliding import (
     DeltaPowerError,
     cyclic_sliding,
@@ -26,6 +29,7 @@ from bkl4.sliding import (
     preferred_prefix,
     slide_to_circuit,
 )
+from bkl4.words import format_braid, parse_braid
 from braids import beta_braid, random_braid
 
 S, W, N, E, M, A = (
@@ -163,3 +167,49 @@ def test_powers_of_rigid_are_rigid():
         b = beta_braid(k)
         for m in (2, 3):
             assert is_rigid(power(b, m))
+
+
+def _walk_start(seed: int, kind: str) -> GarsideBraid:
+    """A braid to slide: a random normal form, a delta power, a rigid braid,
+    or a conjugate w^-1 . x . w presented as a word with inverse letters."""
+    rng = random.Random(seed)
+    if kind == "delta":
+        return GarsideBraid(rng.randrange(-5, 6))
+    if kind == "rigid":
+        while True:
+            x = random_braid(rng, rng.randrange(1, 7), rng.randrange(-3, 4))
+            if is_rigid(x):
+                return x
+    x = random_braid(rng, rng.randrange(1, 8), rng.randrange(-3, 4))
+    if kind == "random":
+        return x
+    w = random_braid(rng, rng.randrange(1, 4)).factors
+    inverse = " ".join(f"{SIMPLE_NAMES[f]}^-1" for f in reversed(w))
+    word = " ".join(SIMPLE_NAMES[f] for f in w)
+    return parse_braid(f"{inverse} . {format_braid(x)} . {word}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(("random", "delta", "rigid", "presented")),
+)
+def test_slide_to_circuit_is_the_cyclic_sliding_walk(seed, kind):
+    x = _walk_start(seed, kind)
+    steps, prefixes = [x], []
+    while True:
+        step = cyclic_sliding(steps[-1])
+        prefixes.append(step.prefix)
+        if step.result in steps:
+            start = steps.index(step.result)
+            break
+        steps.append(step.result)
+    z = IDENTITY
+    for t in prefixes[:start]:
+        z = multiply(z, GarsideBraid(0, (t,)))
+    traj = slide_to_circuit(x)
+    assert traj.steps == tuple(steps)
+    assert traj.prefixes == tuple(prefixes)
+    assert traj.cycle_start == start
+    assert traj.accumulated_conjugator == z
+    assert conjugate(x, z) == traj.representative
