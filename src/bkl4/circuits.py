@@ -83,13 +83,21 @@ CapExceededError rather than silently truncating.
 from __future__ import annotations
 
 import os
-from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Iterator
+from collections.abc import (
+    Callable,
+    Container,
+    ItemsView,
+    Iterable,
+    Iterator,
+    Mapping,
+    ValuesView,
+)
 
 from bkl4.engine import (
     Factors,
     GarsideBraid,
+    _Record,
+    _set,
     braid_from_factors,
     conjugate,
     multiply,
@@ -273,14 +281,14 @@ class Orbit:
     """One tau/cycling orbit inside an SC set.
 
     `members` lists its elements in canonical order (the representative
-    first), built when it is read; `arrows` holds the minimal arrows at the
-    representative, each with its target element, in (weight, canonical
-    index) order.  A rigid class has `_RigidOrbit`s, any other class
-    `_CyclingOrbit`s; they differ in how they hold the members.
+    first), and `arrows` the minimal arrows at the representative, each
+    with its target element, in (weight, canonical index) order; both are
+    built when they are read.  A rigid class has `_RigidOrbit`s, any other
+    class `_CyclingOrbit`s; they differ in how they hold the members.
     """
 
     __slots__ = (
-        "arrows",
+        "_labels",
         "_targets",
         "_power",
         "_seed",
@@ -298,7 +306,9 @@ class Orbit:
         arrow: Simple,
         seed_conjugator: GarsideBraid | None = None,
     ) -> None:
-        self.arrows: tuple[tuple[Simple, GarsideBraid], ...] = ()
+        # The minimal arrows at the representative; `arrows` builds their
+        # targets when it is read.
+        self._labels: tuple[Simple, ...] = ()
         # The key of the orbit each arrow leads to, in the order of `arrows`.
         # Keys, not orbits: a reference to an orbit would close a cycle
         # (to itself or back to the parent), and orbits in cycles outlive
@@ -323,6 +333,11 @@ class Orbit:
     @property
     def representative(self) -> GarsideBraid:
         return GarsideBraid(self._power, self._factors(self._key))
+
+    @property
+    def arrows(self) -> tuple[tuple[Simple, GarsideBraid], ...]:
+        rep = self.representative
+        return tuple((s, conjugate(rep, GarsideBraid(0, (s,)))) for s in self._labels)
 
     def __contains__(self, y: object) -> bool:
         return (
@@ -363,6 +378,28 @@ class Orbit:
         return z
 
 
+def _cyclic_word(power: int, seed: bytes) -> tuple[bytes, int]:
+    """The cyclic word W = f . u(f) . u^2(f) . u^3(f) of a rigid seed f at
+    `power` (u = tau^-power), doubled, and its smallest rotation period."""
+    u = -power % 4
+    word = b"".join(seed.translate(_TWIST[i * u % 4]) for i in range(4))
+    doubled = word + word
+    return doubled, doubled.find(word, 1)
+
+
+def _least_window(haystack: bytes, r: int, d: int) -> bytes:
+    """The least length-r window that starts before d in any word of
+    `haystack` (doubled words joined by 0xFF).  It starts with their least
+    letter, so only windows that start there are compared."""
+    least = next(filter(haystack.__contains__, _LETTERS))
+    windows, j = [], -1
+    for w in haystack.split(b"\xff"):
+        # A failed find leaves j at -1 for the next word.
+        while (j := w.find(least, j + 1, d)) >= 0:
+            windows.append(w[j : j + r])
+    return min(windows)
+
+
 class _RigidOrbit(Orbit):
     """An orbit of a rigid class, kept as the tau twists of its seed's
     cyclic word W (see the module docstring); members are bytes of factors.
@@ -387,22 +424,20 @@ class _RigidOrbit(Orbit):
         seed_conjugator: GarsideBraid | None = None,
     ) -> None:
         super().__init__(power, seed, parent, arrow, seed_conjugator)
-        u = -self._power % 4
-        word = b"".join(seed.translate(_TWIST[i * u % 4]) for i in range(4))
-        doubled = word + word
-        self._period = d = doubled.find(word, 1)
+        doubled, self._period = _cyclic_word(power, seed)
         self._haystack = doubled
         for twist in _TWIST[1:]:
             if not self._holds(seed.translate(twist)):
                 self._haystack += b"\xff" + doubled.translate(twist)
-        # The least window starts with the least letter; a failed find
-        # leaves j at -1 for the next word.
-        least = next(filter(self._haystack.__contains__, _LETTERS))
-        r, windows, j = len(seed), [], -1
-        for w in self._words:
-            while (j := w.find(least, j + 1, d)) >= 0:
-                windows.append(w[j : j + r])
-        self._key = min(windows)
+        self._key = _least_window(self._haystack, len(seed), self._period)
+
+    @staticmethod
+    def _index_key(power: int, member: bytes) -> bytes:
+        """The key of the orbit that would hold `member`, without building
+        the orbit: the least window over every twist of its cyclic word."""
+        doubled, d = _cyclic_word(power, member)
+        haystack = b"\xff".join(doubled.translate(twist) for twist in _TWIST)
+        return _least_window(haystack, len(member), d)
 
     @staticmethod
     def _factors(member: bytes) -> Factors:
@@ -456,6 +491,11 @@ class _CyclingOrbit(Orbit):
 
     _member = staticmethod(tuple)
     _factors = staticmethod(tuple)
+
+    @staticmethod
+    def _index_key(power: int, member: Factors) -> Factors:
+        """The set's index holds every member's factors."""
+        return member
 
     @property
     def size(self) -> int:
@@ -551,7 +591,7 @@ class _Conjugators(Mapping):
         ):
             return None
         member = self._kind._member(element.factors)
-        orbit = self._kind(start.power, member, None, Simple.ONE)._lookup(self._index)
+        orbit = self._index.get(self._kind._index_key(start.power, member))
         return None if orbit is None else (orbit, member)
 
     def __getitem__(self, element: GarsideBraid) -> GarsideBraid:
@@ -598,8 +638,7 @@ class _Conjugates(ValuesView):
         return (orbit._conjugator(m) for _, orbit, m in self._mapping._walk())
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class SCSet:
+class SCSet(_Record):
     """The sliding circuit set of `base`, with conjugators from `base`.
 
     conjugators[e] is a braid z with base^z = e, built when it is read; the
@@ -607,17 +646,31 @@ class SCSet:
     first).  `orbits` lists the tau/cycling orbits sorted by representative.
     `complete` is False when the search stopped early at `stop_at`; `orbits`
     then holds only the orbits closed by that point, and an orbit whose
-    arrows were not tested yet has none.
+    arrows were not tested yet has none.  Sets compare by identity.
     """
 
-    base: GarsideBraid
-    representative: GarsideBraid
-    conjugators: Mapping[GarsideBraid, GarsideBraid]
-    rigid: bool
-    orbits: tuple[Orbit, ...]
-    complete: bool
-    # The orbit that held `stop_at`, when the search stopped there.
-    _stop: Orbit | None = field(default=None, repr=False)
+    __slots__ = (
+        "base", "representative", "conjugators", "rigid", "orbits", "complete", "_stop"
+    )
+
+    def __init__(
+        self,
+        base: GarsideBraid,
+        representative: GarsideBraid,
+        conjugators: Mapping[GarsideBraid, GarsideBraid],
+        rigid: bool,
+        orbits: tuple[Orbit, ...],
+        complete: bool,
+        _stop: Orbit | None = None,
+    ) -> None:
+        _set(self, "base", base)
+        _set(self, "representative", representative)
+        _set(self, "conjugators", conjugators)
+        _set(self, "rigid", rigid)
+        _set(self, "orbits", orbits)
+        _set(self, "complete", complete)
+        # The orbit that held `stop_at`, when the search stopped there.
+        _set(self, "_stop", _stop)
 
     @property
     def elements(self) -> tuple[GarsideBraid, ...]:
@@ -700,8 +753,9 @@ def compute_sc(
         return result(orbits[0])
     for orbit in orbits:  # grows while the search runs
         rep = orbit.representative
-        orbit.arrows = tuple(_arrows(rep, member))
-        for s, target in orbit.arrows:
+        arrows = _arrows(rep, member)
+        orbit._labels = tuple(s for s, _ in arrows)
+        for s, target in arrows:
             if target.power != power:
                 raise RuntimeError(
                     f"arrow {s!r} at {rep!r} leaves the power of SC: {target!r}"
@@ -759,8 +813,7 @@ def circuit_graph(
     return {y: arrows_at[y] for y in elements}
 
 
-@dataclass(frozen=True, slots=True)
-class QuotientGraph:
+class QuotientGraph(_Record):
     """The orbit quotient of the sliding circuit graph.
 
     Vertices are orbits; for every useful arrow s of an orbit representative
@@ -768,9 +821,17 @@ class QuotientGraph:
     labeled by the arrow names that induce it.
     """
 
-    orbits: tuple[Orbit, ...]
-    edges: tuple[tuple[int, int], ...]
-    edge_labels: dict[tuple[int, int], tuple[Simple, ...]] = field(repr=False)
+    __slots__ = ("orbits", "edges", "edge_labels")
+
+    def __init__(
+        self,
+        orbits: tuple[Orbit, ...],
+        edges: tuple[tuple[int, int], ...],
+        edge_labels: dict[tuple[int, int], tuple[Simple, ...]],
+    ) -> None:
+        _set(self, "orbits", orbits)
+        _set(self, "edges", edges)
+        _set(self, "edge_labels", edge_labels)
 
     @property
     def vertex_count(self) -> int:
@@ -813,7 +874,7 @@ def quotient_graph(sc: SCSet) -> QuotientGraph:
     position = {orbit._key: i for i, orbit in enumerate(sc.orbits)}
     labels: dict[tuple[int, int], set[Simple]] = {}
     for i, orbit in enumerate(sc.orbits):
-        for (s, _), target in zip(orbit.arrows, orbit._targets):
+        for s, target in zip(orbit._labels, orbit._targets):
             j = position[target]
             if j == i:
                 continue  # not a useful arrow

@@ -30,8 +30,8 @@ with every pi_j neither trivial nor the reversal and all pairs left-weighted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 __all__ = [
     "Perm",
@@ -105,12 +105,10 @@ _INVERSE_LETTER: dict[int, Perm] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ClassicalNF:
+class ClassicalNF(namedtuple("ClassicalNF", "power perms", defaults=(0, ()))):
     """A classical left normal form Delta**power . A_perms[0] ... A_perms[-1]."""
 
-    power: int = 0
-    perms: tuple[Perm, ...] = ()
+    __slots__ = ()
 
     def is_trivial(self) -> bool:
         return self.power == 0 and not self.perms

@@ -40,7 +40,7 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from bkl4.circuits import (
     CapExceededError,
@@ -246,19 +246,17 @@ def cmd_sc(args: argparse.Namespace) -> int:
     x = _parse(args.word)
     sc = _compute_sc(x, _cap(args.cap))
     if args.graph is not None:
-        if args.graph == "dot":
-            print(_dot_graph(sc))
-        else:
-            print(json.dumps(_json_graph(sc)))
+        output = _dot_graph(sc) if args.graph == "dot" else _json_graph(sc)
     elif args.quotient is not None:
-        if args.quotient == "dot":
-            print(_dot_quotient(sc))
-        else:
-            print(json.dumps(_json_quotient(sc)))
+        output = _dot_quotient(sc) if args.quotient == "dot" else _json_quotient(sc)
     elif args.json:
-        print(json.dumps({**_invariant_fields(x), "sc_size": sc.size}))
+        output = {**_invariant_fields(x), "sc_size": sc.size}
     else:
-        print(sc.size)
+        output = sc.size
+    # Drop the set before its document is serialized, so that the memory
+    # peaks of the two do not add up.
+    del sc
+    print(json.dumps(output) if isinstance(output, dict) else output)
     return EXIT_OK
 
 

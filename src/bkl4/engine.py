@@ -8,7 +8,7 @@ A braid is stored as its left normal form
 where p is an integer (the infimum), each xi is a proper simple (not 1, not
 delta), and every adjacent pair is left-weighted: meet(complement(xi), x_{i+1})
 = 1.  Two braids are equal exactly when their (power, factors) agree, so
-dataclass equality decides the word problem.
+braid equality decides the word problem.
 
 Normalization is local: one renorm step on a factor pair (u, v) replaces it by
 (u*t, t^-1 v) with t = meet(complement(u), v), which also bubbles delta
@@ -48,8 +48,8 @@ x = delta^p . x1 ... xr,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from bkl4.simples import (
     COMPLEMENT,
@@ -76,12 +76,58 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class GarsideBraid:
-    """A braid in left normal form: delta**power . factors[0] ... factors[-1]."""
+_set = object.__setattr__
 
-    power: int = 0
-    factors: tuple[Simple, ...] = ()
+
+class _Record:
+    """Base of the package's immutable records: each field is a slot that
+    `__init__` sets once through `_set`; assigning or deleting raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __reduce__(self) -> tuple:
+        # Pickling and copying rebuild the record through __init__, as the
+        # default protocol would set the slots through __setattr__.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self.__slots__
+            if not name.startswith("_")
+        )
+        return f"{type(self).__name__}({fields})"
+
+
+class GarsideBraid(_Record):
+    """A braid in left normal form: delta**power . factors[0] ... factors[-1].
+
+    Braids are equal, and hash alike, exactly when power and factors agree.
+    """
+
+    __slots__ = ("power", "factors")
+
+    power: int
+    factors: tuple[Simple, ...]
+
+    def __init__(self, power: int = 0, factors: tuple[Simple, ...] = ()) -> None:
+        _set_power(self, power)
+        _set_factors(self, factors)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is GarsideBraid:
+            return self.power == other.power and self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.power, self.factors))
 
     @property
     def inf(self) -> int:
@@ -103,6 +149,11 @@ class GarsideBraid:
         return f"GarsideBraid(d^{self.power} . {body})"
 
 
+# The slots' own setters take about 0.1 us less than `_set` per field, and a
+# braid is built on every arrow test.
+_set_power = GarsideBraid.power.__set__
+_set_factors = GarsideBraid.factors.__set__
+
 IDENTITY = GarsideBraid()
 Factors = tuple[Simple, ...]
 # Reading an enum member costs about 0.1 us (Python 3.11): the steps that end
@@ -110,16 +161,10 @@ Factors = tuple[Simple, ...]
 _ONE, _DELTA = Simple.ONE, Simple.DELTA
 
 
-class Invariants(NamedTuple):
-    """Summit-style invariants of a normal form."""
-
-    inf: int
-    sup: int
-    canonical_length: int
-    word_length: int
-    weight: int
-    k1: int
-    k2: int
+Invariants = namedtuple(
+    "Invariants", "inf sup canonical_length word_length weight k1 k2"
+)
+Invariants.__doc__ = "Summit-style invariants of a normal form."
 
 
 def normalize_factors(raw: Sequence[Simple]) -> tuple[int, tuple[Simple, ...]]:
@@ -201,9 +246,9 @@ def braid_from_letters(letters: Iterable[tuple[Simple, int]]) -> GarsideBraid:
     # means a positive proper factor.
     entries: list[int | Simple] = []
     for s, e in letters:
-        if e == 0 or s == Simple.ONE:
+        if e == 0 or s == _ONE:
             continue
-        if s == Simple.DELTA:
+        if s == _DELTA:
             entries.append(e)
         elif e > 0:
             entries.extend([s] * e)

@@ -28,14 +28,15 @@ finitely many steps.  It, and the membership walks of `bkl4.circuits`, slide
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice, starmap
-from typing import NamedTuple
 
 from bkl4.engine import (
     Factors,
     GarsideBraid,
     _ONE,
+    _Record,
+    _set,
     _conjugate_factors,
     _finish,
     _right_pass,
@@ -63,11 +64,8 @@ class DeltaPowerError(ValueError):
     """Raised when an operation needs canonical factors but x is a delta power."""
 
 
-class SlidingStep(NamedTuple):
-    """One conjugation step: result = x^prefix."""
-
-    result: GarsideBraid
-    prefix: Simple
+SlidingStep = namedtuple("SlidingStep", "result prefix")
+SlidingStep.__doc__ = "One conjugation step: result = x^prefix."
 
 
 def initial_factor(x: GarsideBraid) -> Simple:
@@ -146,8 +144,7 @@ def is_rigid(x: GarsideBraid) -> bool:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class SlidingTrajectory:
+class SlidingTrajectory(_Record):
     """The sliding walk from x until the first repeated element.
 
     steps[0] = x; prefixes[i] conjugates steps[i] to the next element; the
@@ -156,15 +153,23 @@ class SlidingTrajectory:
     accumulated_conjugator z satisfies x^z = steps[cycle_start].
     """
 
-    steps: tuple[GarsideBraid, ...]
-    prefixes: tuple[Simple, ...]
-    cycle_start: int
-    accumulated_conjugator: GarsideBraid
+    __slots__ = ("steps", "prefixes", "cycle_start", "accumulated_conjugator")
+
+    def __init__(
+        self,
+        steps: tuple[GarsideBraid, ...],
+        prefixes: tuple[Simple, ...],
+        cycle_start: int,
+        accumulated_conjugator: GarsideBraid,
+    ) -> None:
+        _set(self, "steps", steps)
+        _set(self, "prefixes", prefixes)
+        _set(self, "cycle_start", cycle_start)
+        _set(self, "accumulated_conjugator", accumulated_conjugator)
 
     @property
     def representative(self) -> GarsideBraid:
         return self.steps[self.cycle_start]
-
 
 
 def slide_to_circuit(x: GarsideBraid) -> SlidingTrajectory:

@@ -39,12 +39,13 @@ Periodicity in this group: x is periodic iff x^3 or x^4 is a delta power
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from bkl4.circuits import CapExceededError, compute_sc
 from bkl4.engine import (
     IDENTITY,
     GarsideBraid,
+    _Record,
+    _set,
     conjugate,
     invariants,
     invert,
@@ -75,13 +76,15 @@ INCONCLUSIVE = "inconclusive"
 MAX_RIGID_POWER = 26
 
 
-@dataclass(frozen=True, slots=True)
-class ConjugacyCertificate:
+class ConjugacyCertificate(_Record):
     """A witness z for conjugacy: x = z^-1 y z."""
 
-    x: GarsideBraid
-    y: GarsideBraid
-    z: GarsideBraid
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: GarsideBraid, y: GarsideBraid, z: GarsideBraid) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
 
 def verify_certificate(cert: ConjugacyCertificate) -> bool:
@@ -89,8 +92,7 @@ def verify_certificate(cert: ConjugacyCertificate) -> bool:
     return conjugate(cert.y, cert.z) == cert.x
 
 
-@dataclass(frozen=True, slots=True)
-class SolverDecision:
+class SolverDecision(_Record):
     """Outcome of solve_conjugacy.
 
     outcome is 'conjugate' (with a verified certificate), 'not-conjugate'
@@ -103,11 +105,21 @@ class SolverDecision:
     'powering' (under assume_pa; a fallback from it reads 'general').
     """
 
-    outcome: str
-    certificate: ConjugacyCertificate | None = None
-    reason: str | None = None
-    periodic: bool | None = None
-    path: str = "general"
+    __slots__ = ("outcome", "certificate", "reason", "periodic", "path")
+
+    def __init__(
+        self,
+        outcome: str,
+        certificate: ConjugacyCertificate | None = None,
+        reason: str | None = None,
+        periodic: bool | None = None,
+        path: str = "general",
+    ) -> None:
+        _set(self, "outcome", outcome)
+        _set(self, "certificate", certificate)
+        _set(self, "reason", reason)
+        _set(self, "periodic", periodic)
+        _set(self, "path", path)
 
 
 def _conjugate_decision(
@@ -200,7 +212,9 @@ def solve_conjugacy(
         decision = _solve_by_powering(x, y, cap)
     if decision is None:
         decision = _search(x, y, tx, ty, cap)
-    return replace(decision, periodic=periodic)
+    return SolverDecision(
+        decision.outcome, decision.certificate, decision.reason, periodic, decision.path
+    )
 
 
 def _solve_by_powering(

@@ -44,7 +44,7 @@ so an independent permutation-braid implementation can audit this package.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from collections.abc import Iterable
 
 from bkl4.engine import GarsideBraid, braid_from_letters
 from bkl4.simples import SIMPLE_NAMES, SPELLING, Simple

@@ -266,6 +266,32 @@ def test_conjugator_items_and_values_follow_search_order():
     assert not sc.rigid and len(sc.orbits) > 1
 
 
+@pytest.mark.parametrize(
+    "x",
+    [*(beta_braid(k) for k in range(1, 5)), braid_from_factors(0, [Simple.C123, M, M, W])],
+)
+def test_single_lookups_agree_with_iteration(x):
+    # `in` and conjugators[y] find the orbit from y's index key alone (in a
+    # rigid class the least window of y's cyclic word), not from the walk.
+    sc = compute_sc(x)
+    elements = set()
+    for element, z in sc.conjugators.items():
+        elements.add(element)
+        assert element in sc and sc.conjugators[element] == z
+    # Normal forms of the set's power and length, drawn until 40 lie
+    # outside it (rigid ones among them), reach the key lookup.
+    rng = random.Random(len(elements))
+    p, r = sc.representative.power, sc.representative.canonical_length
+    outside = 0
+    while outside < 40:
+        y = random_braid(rng, r, inf=p)
+        assert (y in sc) == (y in elements) == (y in sc.conjugators)
+        if y not in elements:
+            outside += 1
+            with pytest.raises(KeyError):
+                sc.conjugators[y]
+
+
 def test_arrow_target_with_another_power_is_an_error(monkeypatch):
     # An arrow never changes the power inside SC; if one did, the search
     # must stop rather than take the target for a new element.

@@ -51,3 +51,21 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def test_library_imports_neither_dataclasses_nor_typing():
+    # Each would load modules that nothing else on the command line's path
+    # needs (dataclasses brings inspect, ast, dis and tokenize), and every
+    # call pays its import.
+    sources = sorted(Path(bkl4.__file__).parent.glob("*.py"))
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            roots = {name.split(".")[0] for name in names}
+            assert not roots & {"dataclasses", "typing"}, f"{path.name}:{node.lineno}"

@@ -229,6 +229,16 @@ def test_self_check_raises_on_a_broken_table(monkeypatch):
         self_check()
 
 
+def test_self_check_needs_divisibility_to_be_a_partial_order(monkeypatch):
+    # Meet associativity is not checked on its own: it follows from this law
+    # and "meet is the gcd".  Here a12 divides c123 but 1 does not.
+    broken = list(DIVISORS)
+    broken[Simple.C123] = DIVISORS[Simple.C123] - {Simple.ONE}
+    monkeypatch.setattr(simples, "DIVISORS", tuple(broken))
+    with pytest.raises(RuntimeError, match="partial order"):
+        self_check()
+
+
 def test_atom_count_and_proper_count():
     assert len(ATOMS) == 6
     assert len(PROPER_SIMPLES) == 12
