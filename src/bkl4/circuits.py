@@ -38,9 +38,14 @@ of x, taken here or handed in by the caller), at the shared power:
     *minimal* when the only prefixes t of s with y^t in SC(x) are 1 and s.
     Minimal arrows are always prefixes of iota(y) or complement(phi(y)), so
     the candidate set is tiny; candidates are tested in weight-then-index
-    order, and one with a smaller arrow among its prefixes is skipped.  If
+    order, and one with a smaller arrow among its prefixes is skipped.  One
+    kernel, `_arrows`, tests them for the search, `minimal_arrows` and
+    `circuit_graph`, on (power, factors) tuples: each candidate s is one
+    conjugation of the factors by s (a left and a right RENORM pass, see
+    `bkl4.engine`), and no braid object is built for it.  If
     some element of SC(x) is rigid, SC(x) is exactly the set of rigid
-    conjugates, so membership testing degenerates to a rigidity check;
+    conjugates, so membership testing degenerates to a rigidity check on
+    the target's factors;
     otherwise a candidate is tested by sliding it, with a memo kept for the
     whole search.  Two sets of (power, factors) tuples are kept: `inside`
     holds whole sliding circuits only (the start's circuit, from the walk
@@ -54,10 +59,11 @@ of x, taken here or handed in by the caller), at the shared power:
     closed so far (the search's index holds its factors) is answered at
     once without a walk, and it never enters `inside` either.
   * Arrows are tested once per orbit, at its canonical representative (the
-    member with the smallest factors).  Cycling and tau carry the arrows of
-    one member to the arrows of any other, so only the targets of the
-    representative's arrows seed new orbits.  A target with another power
-    than the set's is an error, not a new element.
+    member with the smallest factors, read off the orbit's key).  Cycling
+    and tau carry the arrows of one member to the arrows of any other, so
+    only the targets of the representative's arrows seed new orbits.  A
+    target with another power than the set's is an error, not a new
+    element.
 
 Conjugators are kept per orbit: the orbit's seed, the orbit whose
 representative leads to it and the arrow between them (the search start
@@ -65,8 +71,9 @@ gets its conjugator from its sliding walk).  `SCSet.conjugators` builds the
 conjugator of a member when it is read: the seed's conjugator, times the
 initial factors of the first j cycling steps from the seed, times delta^k,
 for the smallest (j, k) with tau^k(c^j(seed)) the member.  So the search
-doubles as a conjugacy-certificate finder (`stop_at`), and a braid is built
-only for an element that is read.
+doubles as a conjugacy-certificate finder (`stop_at`).  Apart from the
+sliding walk it starts from, the search builds no braid object: a braid is
+built only for an element, an arrow target or a conjugator that is read.
 
 An arrow s at y is *useful* when y^s lies outside O(y).  The quotient graph
 has one vertex per orbit and, for each useful arrow of the orbit's
@@ -97,6 +104,7 @@ from bkl4.engine import (
     Factors,
     GarsideBraid,
     _Record,
+    _conjugate_factors,
     _set,
     braid_from_factors,
     conjugate,
@@ -114,9 +122,8 @@ from bkl4.simples import (
 from bkl4.sliding import (
     SlidingTrajectory,
     _cycle_factors,
+    _is_rigid,
     _slide,
-    final_factor,
-    initial_factor,
     is_rigid,
     slide_to_circuit,
 )
@@ -185,33 +192,34 @@ def _sort_key(s: Simple) -> tuple[int, int]:
 
 
 def _membership(
-    circuits: Iterable[GarsideBraid],
-    tails: Iterable[GarsideBraid] = (),
+    circuits: Iterable[tuple[int, Factors]],
+    tails: Iterable[tuple[int, Factors]] = (),
     power: int = 0,
     closed: Container[Factors] = (),
-) -> Callable[[GarsideBraid], bool]:
+) -> Callable[[int, Factors], bool]:
     """SC membership in a class with no rigid element, memoized.
 
-    `circuits` must be a union of whole sliding circuits of the class and
-    `tails` braids of the class known not to be in SC; `closed` holds
-    factors of elements of SC, all at SC's power `power` (the search's
-    closed orbits, which grow while it runs).  The returned test answers at
-    once for a braid in any of them; otherwise it slides, and stops with
-    False as soon as a step lands in the first two sets.  Each walk adds
-    its circuit, if it closes one, to the first set and the rest of it to
-    the second; an element of `closed` is not added, as its circuit is not
+    Elements are (power, factors) tuples.  `circuits` must be a union of
+    whole sliding circuits of the class and `tails` elements of the class
+    known not to be in SC; `closed` holds factors of elements of SC, all at
+    SC's power `power` (the search's closed orbits, which grow while it
+    runs).  The returned test `member(p, factors)` answers at once for an
+    element in any of them; otherwise it slides, and stops with False as
+    soon as a step lands in the first two sets.  Each walk adds its
+    circuit, if it closes one, to the first set and the rest of it to the
+    second; an element of `closed` is not added, as its circuit is not
     known.
     """
-    inside = {(y.power, y.factors) for y in circuits}
-    outside = {(y.power, y.factors) for y in tails}
+    inside = set(circuits)
+    outside = set(tails)
 
-    def member(t: GarsideBraid) -> bool:
-        y = (t.power, t.factors)
+    def member(p: int, factors: Factors) -> bool:
+        y = (p, factors)
         if y in inside:
             return True
         if y in outside:
             return False
-        if t.power == power and t.factors in closed:
+        if p == power and factors in closed:
             return True
         seen = {y: 0}  # the walk, in order
         while True:
@@ -231,35 +239,50 @@ def _membership(
     return member
 
 
+def _raw(braids: Iterable[GarsideBraid]) -> Iterator[tuple[int, Factors]]:
+    """Braids as the (power, factors) tuples `_membership` takes."""
+    return ((y.power, y.factors) for y in braids)
+
+
+# The proper simples in (weight, canonical index) order, the order arrow
+# candidates are tested in: a proper divisor has a smaller weight, so it
+# comes first.
+_BY_WEIGHT = tuple(sorted(PROPER_SIMPLES, key=_sort_key))
+
+
 def _arrows(
-    y: GarsideBraid, member: Callable[[GarsideBraid], bool]
-) -> list[tuple[Simple, GarsideBraid]]:
-    """The minimal arrows at y, an element of SC(y), each with its target
-    y^s, sorted by (weight, canonical index); `member` tests membership in
-    SC(y)."""
-    if not y.factors:
+    power: int, factors: Factors, member: Callable[[int, Factors], bool]
+) -> list[tuple[Simple, Factors]]:
+    """The minimal arrows at y = delta^power . factors, an element of SC(y),
+    each with the factors of its target y^s, sorted by (weight, canonical
+    index); `member(p, f)` tests delta^p . f for membership in SC(y).
+
+    The candidates are the nontrivial prefixes of iota(y) and of
+    complement(phi(y)), and one above an arrow found is skipped.  A target
+    in SC(y) with another power than y's is an error (RuntimeError).
+    """
+    if not factors:
         # Delta powers: y^s = y iff tau^p(s) = s, and SC(y) = {y}.
-        twist = TAU_POWER[y.power % 4]
-        fixed = {s for s in (*PROPER_SIMPLES, Simple.DELTA) if twist[s] == s}
+        twist = TAU_POWER[power % 4]
+        fixed = [s for s in (*_BY_WEIGHT, Simple.DELTA) if twist[s] == s]
         return [
-            (s, y)
-            for s in sorted(fixed, key=_sort_key)
+            (s, factors)
+            for s in fixed
             if not any(t in fixed for t in DIVISORS[s] if t not in (Simple.ONE, s))
         ]
-    candidates = sorted(
-        (DIVISORS[initial_factor(y)] | DIVISORS[COMPLEMENT[final_factor(y)]])
-        - {Simple.ONE},
-        key=_sort_key,
-    )
-    # Candidates are proper simples, and a proper divisor has a smaller
-    # weight, so it is tested first: a candidate above an arrow is skipped.
-    arrows: list[tuple[Simple, GarsideBraid]] = []
-    for s in candidates:
-        if any(a in DIVISORS[s] for a, _ in arrows):
-            continue
-        target = conjugate(y, GarsideBraid(0, (s,)))
-        if member(target):
-            arrows.append((s, target))
+    head = DIVISORS[TAU_POWER[-power % 4][factors[0]]]  # prefixes of iota(y)
+    tail = DIVISORS[COMPLEMENT[factors[-1]]]  # of complement(phi(y))
+    arrows: list[tuple[Simple, Factors]] = []
+    for s in _BY_WEIGHT:
+        if (s in head or s in tail) and not any(a in DIVISORS[s] for a, _ in arrows):
+            p, target = _conjugate_factors(power, factors, s)
+            if member(p, target):
+                if p != power:
+                    raise RuntimeError(
+                        f"arrow {s!r} at {GarsideBraid(power, factors)!r} leaves "
+                        f"the power of SC: {GarsideBraid(p, target)!r}"
+                    )
+                arrows.append((s, target))
     return arrows
 
 
@@ -268,13 +291,13 @@ def minimal_arrows(y: GarsideBraid) -> tuple[Simple, ...]:
 
     Raises NotInCircuitError if y is not in its own sliding circuit set.
     """
-    member = is_rigid
+    member = _is_rigid
     if y.factors and not is_rigid(y):
         entry = slide_to_circuit(y)
         if entry.cycle_start:
             raise NotInCircuitError(f"not in its sliding circuit set: {y!r}")
-        member = _membership(entry.steps)
-    return tuple(s for s, _ in _arrows(y, member))
+        member = _membership(_raw(entry.steps))
+    return tuple(s for s, _ in _arrows(y.power, y.factors, member))
 
 
 class Orbit:
@@ -382,7 +405,16 @@ def _cyclic_word(power: int, seed: bytes) -> tuple[bytes, int]:
     """The cyclic word W = f . u(f) . u^2(f) . u^3(f) of a rigid seed f at
     `power` (u = tau^-power), doubled, and its smallest rotation period."""
     u = -power % 4
-    word = b"".join(seed.translate(_TWIST[i * u % 4]) for i in range(4))
+    # Spelled out: a generator or a comprehension over range(4) costs about
+    # 1 us more per orbit.
+    word = b"".join(
+        [
+            seed,
+            seed.translate(_TWIST[u]),
+            seed.translate(_TWIST[2 * u % 4]),
+            seed.translate(_TWIST[3 * u % 4]),
+        ]
+    )
     doubled = word + word
     return doubled, doubled.find(word, 1)
 
@@ -408,10 +440,10 @@ class _RigidOrbit(Orbit):
     another, tau^0(W) first, each doubled so that every window is a
     substring, joined by a byte no simple uses; `_words` splits them.
     c^j(seed) is the window at position j of the first, for j below the
-    period d of W.
+    period d of W.  The orbit has d members per word.
     """
 
-    __slots__ = ("_haystack", "_period")
+    __slots__ = ("_haystack", "_period", "size")
 
     _member = staticmethod(bytes)
 
@@ -426,9 +458,11 @@ class _RigidOrbit(Orbit):
         super().__init__(power, seed, parent, arrow, seed_conjugator)
         doubled, self._period = _cyclic_word(power, seed)
         self._haystack = doubled
+        self.size = self._period
         for twist in _TWIST[1:]:
             if not self._holds(seed.translate(twist)):
                 self._haystack += b"\xff" + doubled.translate(twist)
+                self.size += self._period
         self._key = _least_window(self._haystack, len(seed), self._period)
 
     @staticmethod
@@ -446,10 +480,6 @@ class _RigidOrbit(Orbit):
     @property
     def _words(self) -> list[bytes]:
         return self._haystack.split(b"\xff")
-
-    @property
-    def size(self) -> int:
-        return len(self._words) * self._period
 
     def _lookup(self, index: dict[bytes, Orbit]) -> Orbit | None:
         return index.get(self._key)
@@ -643,7 +673,10 @@ class SCSet(_Record):
 
     conjugators[e] is a braid z with base^z = e, built when it is read; the
     iteration order of `conjugators` is the search order (representative
-    first).  `orbits` lists the tau/cycling orbits sorted by representative.
+    first).  The set keeps its orbits as factor tuples or bytes, so
+    `elements`, the orbits' `members` and `arrows`, and `conjugators` build
+    their braids when they are read.  `orbits` lists the tau/cycling orbits
+    sorted by representative.
     `complete` is False when the search stopped early at `stop_at`; `orbits`
     then holds only the orbits closed by that point, and an orbit whose
     arrows were not tested yet has none.  Sets compare by identity.
@@ -722,12 +755,23 @@ def compute_sc(
     index: dict = {}
     orbits: list[Orbit] = []  # closed orbits, in the order found
     size = 0
-    member = is_rigid
+    member = _is_rigid
     kind: type[Orbit] = _RigidOrbit
     if not rigid_class:
         c = entry.cycle_start
-        member = _membership(entry.steps[c:], entry.steps[:c], power, index)
+        member = _membership(
+            _raw(entry.steps[c:]), _raw(entry.steps[:c]), power, index
+        )
         kind = _CyclingOrbit
+    # stop_at as a member, if it has SC's power and length; None if no
+    # orbit can hold it.
+    wanted = None
+    if (
+        stop_at is not None
+        and stop_at.power == power
+        and len(stop_at.factors) == len(start.factors)
+    ):
+        wanted = kind._member(stop_at.factors)
 
     def result(stop: Orbit | None) -> SCSet:
         return SCSet(
@@ -746,23 +790,18 @@ def compute_sc(
         orbit._close(index, cap - size, cap)
         size += orbit.size
         orbits.append(orbit)
-        return stop_at is not None and stop_at in orbit
+        return wanted is not None and orbit._holds(wanted)
 
     seed = kind._member(start.factors)
     if found(kind(power, seed, None, Simple.ONE, entry.accumulated_conjugator)):
         return result(orbits[0])
     for orbit in orbits:  # grows while the search runs
-        rep = orbit.representative
-        arrows = _arrows(rep, member)
+        arrows = _arrows(power, orbit._factors(orbit._key), member)
         orbit._labels = tuple(s for s, _ in arrows)
         for s, target in arrows:
-            if target.power != power:
-                raise RuntimeError(
-                    f"arrow {s!r} at {rep!r} leaves the power of SC: {target!r}"
-                )
             # Most targets lie in the orbit they leave or in its parent, which
             # a substring search finds without a key.
-            seed = kind._member(target.factors)
+            seed = kind._member(target)
             parent = orbit._parent
             if orbit._holds(seed):
                 orbit._targets.append(orbit._key)
@@ -795,20 +834,22 @@ def circuit_graph(
         raise ValueError("the circuit graph needs a complete SC set")
     elements = sc.elements
     # SC is the union of its sliding circuits.
-    member = is_rigid if sc.rigid else _membership(elements)
+    member = _is_rigid if sc.rigid else _membership(_raw(elements))
     arrows_at: dict[GarsideBraid, tuple[tuple[Simple, GarsideBraid], ...]] = {}
     for y in elements:
         if y in arrows_at:
             continue
-        arrows = _arrows(y, member)
+        p = y.power
+        arrows = _arrows(p, y.factors, member)
         for k, twist in enumerate(TAU_POWER):
             image = tau_braid(y, k)
             if image not in arrows_at:
+                twisted = (
+                    (twist[s], GarsideBraid(p, tuple(map(twist.__getitem__, t))))
+                    for s, t in arrows
+                )
                 arrows_at[image] = tuple(
-                    sorted(
-                        ((twist[s], tau_braid(t, k)) for s, t in arrows),
-                        key=lambda arrow: _sort_key(arrow[0]),
-                    )
+                    sorted(twisted, key=lambda arrow: _sort_key(arrow[0]))
                 )
     return {y: arrows_at[y] for y in elements}
 

@@ -150,7 +150,7 @@ class GarsideBraid(_Record):
 
 
 # The slots' own setters take about 0.1 us less than `_set` per field, and a
-# braid is built on every arrow test.
+# braid is built for every element of a sliding walk or an SC set read.
 _set_power = GarsideBraid.power.__set__
 _set_factors = GarsideBraid.factors.__set__
 

@@ -23,7 +23,8 @@ after x2 ... xr with a right pass, and sliding conjugates by t with a left
 pass and a right pass.  `slide_to_circuit` iterates sliding until an element
 repeats, which finds the periodic part (a circuit of the sliding orbit) in
 finitely many steps.  It, and the membership walks of `bkl4.circuits`, slide
-(power, factors) tuples with `_slide` and build braids only for its result.
+(power, factors) tuples with `_slide` and build braids only for its result;
+the SC search of a rigid class tests such tuples with `_is_rigid`.
 """
 
 from __future__ import annotations
@@ -135,13 +136,17 @@ def cyclic_sliding(x: GarsideBraid) -> SlidingStep:
     return SlidingStep(x if t == _ONE else GarsideBraid(power, factors), t)
 
 
+def _is_rigid(power: int, factors: Factors) -> bool:
+    """is_rigid(x) for x = delta^power . factors; the SC search tests arrow
+    targets with it."""
+    if not factors:
+        return False
+    return LEFT_WEIGHTED[factors[-1]][TAU_POWER[-power % 4][factors[0]]]
+
+
 def is_rigid(x: GarsideBraid) -> bool:
     """Whether (phi(x), iota(x)) is left-weighted; delta powers are not rigid."""
-    if not x.factors:
-        return False
-    return LEFT_WEIGHTED[x.factors[-1]][
-        TAU_POWER[(-x.power) % 4][x.factors[0]]
-    ]
+    return _is_rigid(x.power, x.factors)
 
 
 class SlidingTrajectory(_Record):

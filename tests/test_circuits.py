@@ -190,19 +190,30 @@ def test_stop_at_early_exit():
 
 
 def test_arrows_are_arrows_and_minimal():
-    # For every element of a small mixed SC: each reported arrow lands in the
-    # SC, and no proper prefix of a reported arrow is itself an arrow.
-    sc = compute_sc(beta_braid(1))
-    members = set(sc.elements)
+    # minimal_arrows against a brute force that shares none of its candidate
+    # filter: the nontrivial simples s with y^s in the complete SC are the
+    # arrows at y, and the minimal ones have no other arrow among their
+    # prefixes.  On every element of SC(beta_1), of two non-rigid sets and
+    # of a delta power.
+    nontrivial = [s for s in Simple if s != Simple.ONE]
+    bases = [beta_braid(1), *_non_rigid_classes(2, 5), GarsideBraid(2, ())]
     checked = 0
-    for y in list(sc.elements)[:40]:
-        arrows = minimal_arrows(y)
-        assert arrows, y
-        for s in arrows:
-            target = conjugate(y, braid_from_factors(0, (s,)))
-            assert target in members
-        checked += 1
-    assert checked == 40
+    for x in bases:
+        sc = compute_sc(x)
+        assert sc.complete
+        members = set(sc.elements)
+        for y in sc.elements:
+            arrows = {
+                s for s in nontrivial if conjugate(y, GarsideBraid(0, (s,))) in members
+            }
+            minimal = sorted(
+                (s for s in arrows if not arrows & (DIVISORS[s] - {s})),
+                key=lambda s: (WEIGHT[s], s),
+            )
+            assert minimal, y
+            assert minimal_arrows(y) == tuple(minimal), y
+            checked += 1
+    assert checked == 160 + 60 + 20 + 1
 
 
 def test_orbit_partition_is_a_partition():
@@ -294,15 +305,53 @@ def test_single_lookups_agree_with_iteration(x):
 
 def test_arrow_target_with_another_power_is_an_error(monkeypatch):
     # An arrow never changes the power inside SC; if one did, the search
-    # must stop rather than take the target for a new element.
-    real = circuits._arrows
+    # must stop rather than take the target for a new element.  The arrow
+    # tests conjugate through `_conjugate_factors`; here every candidate
+    # target gets one more delta, and rigidity does not read the power.
+    real = circuits._conjugate_factors
 
-    def shifted(y, member):
-        return [(s, GarsideBraid(t.power + 1, t.factors)) for s, t in real(y, member)]
+    def shifted(p, factors, s):
+        q, target = real(p, factors, s)
+        return q + 1, target
 
-    monkeypatch.setattr(circuits, "_arrows", shifted)
+    monkeypatch.setattr(circuits, "_conjugate_factors", shifted)
     with pytest.raises(RuntimeError, match="power"):
         compute_sc(beta_braid(1))
+
+
+def test_search_builds_no_braid_per_arrow_candidate(monkeypatch):
+    # The arrow tests conjugate raw factor tuples: the search and the circuit
+    # graph never call `conjugate`, and a search builds as many braids for
+    # beta_8 as for beta_2, whatever the number of candidates and orbits.
+    def forbidden(x, z):
+        raise AssertionError("the search conjugated a braid")
+
+    monkeypatch.setattr(circuits, "conjugate", forbidden)
+    for x in (beta_braid(3), braid_from_factors(0, [Simple.C123, M, M, W])):
+        sc = compute_sc(x)
+        assert sc.complete and len(sc.orbits) > 1
+        circuit_graph(sc)
+    target = GarsideBraid(0, (W, W))
+    sc = compute_sc(GarsideBraid(0, (M, M)), stop_at=target)
+    assert not sc.complete and target in sc
+
+    bases = [beta_braid(2), beta_braid(8)]
+    built = 0
+    init = GarsideBraid.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(GarsideBraid, "__init__", counting)
+    counts = []
+    for x in bases:
+        built = 0
+        sc = compute_sc(x)
+        counts.append(built)
+        assert sc.rigid and len(sc.orbits) > 1
+    assert counts[0] == counts[1]
 
 
 def _non_rigid_classes(count: int, seed: int) -> list[GarsideBraid]:
@@ -374,7 +423,14 @@ def test_memoized_membership_matches_sliding_walks(seed):
     # about random conjugates of x and the braids on their sliding walks.
     entry = slide_to_circuit(x)
     c = entry.cycle_start
-    member = circuits._membership(entry.steps[c:], entry.steps[:c])
+    raw = circuits._membership(
+        [(y.power, y.factors) for y in entry.steps[c:]],
+        [(y.power, y.factors) for y in entry.steps[:c]],
+    )
+
+    def member(t):
+        return raw(t.power, t.factors)
+
     sc = compute_sc(x)
     for orbit in sc.orbits:
         y = orbit.representative

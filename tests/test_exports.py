@@ -69,3 +69,47 @@ def test_library_imports_neither_dataclasses_nor_typing():
                 continue
             roots = {name.split(".")[0] for name in names}
             assert not roots & {"dataclasses", "typing"}, f"{path.name}:{node.lineno}"
+
+
+def test_every_private_name_is_used_in_the_library():
+    # A private module-level name or private method that only its own
+    # definition (or a test) refers to is a leftover path: the library no
+    # longer runs it.  References are loaded names, attributes and imports.
+    sources = sorted(Path(bkl4.__file__).parent.glob("*.py"))
+    definitions = []  # (file, name, first line, last line)
+    references = []  # (file, name, line)
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [tree.body]
+        scopes += [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for body in scopes:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign):
+                    names = [node.target.id] if isinstance(node.target, ast.Name) else []
+                else:
+                    continue
+                for name in names:
+                    if name.startswith("_") and not name.startswith("__"):
+                        span = (node.lineno, node.end_lineno)
+                        definitions.append((path.name, name, *span))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                references.append((path.name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                references.append((path.name, node.attr, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                references.extend((path.name, a.name, node.lineno) for a in node.names)
+    assert len(definitions) > 50
+    unused = [
+        f"{file}:{first} {name}"
+        for file, name, first, last in definitions
+        if not any(
+            n == name and not (f == file and first <= line <= last)
+            for f, n, line in references
+        )
+    ]
+    assert not unused, unused
