@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from bkl4.circuits import (
     CapExceededError,
-    NotInCircuitError,
     Orbit,
     QuotientGraph,
     SCSet,
     circuit_graph,
     compute_sc,
-    minimal_arrows,
     quotient_graph,
     resolve_cap,
 )
@@ -42,16 +40,8 @@ from bkl4.simples import (
     self_check,
 )
 from bkl4.sliding import (
-    DeltaPowerError,
-    SlidingStep,
     SlidingTrajectory,
-    cyclic_sliding,
-    cycling,
-    decycling,
-    final_factor,
-    initial_factor,
     is_rigid,
-    preferred_prefix,
     slide_to_circuit,
 )
 from bkl4.solver import (
@@ -72,7 +62,6 @@ from bkl4.words import (
     format_braid_compact,
     parse_braid,
     parse_word,
-    to_artin_letters,
 )
 
 __all__ = [
@@ -102,28 +91,17 @@ __all__ = [
     "format_braid_compact",
     "parse_braid",
     "parse_word",
-    "to_artin_letters",
     # sliding
-    "DeltaPowerError",
-    "SlidingStep",
     "SlidingTrajectory",
-    "cyclic_sliding",
-    "cycling",
-    "decycling",
-    "final_factor",
-    "initial_factor",
     "is_rigid",
-    "preferred_prefix",
     "slide_to_circuit",
     # circuits
     "CapExceededError",
-    "NotInCircuitError",
     "Orbit",
     "QuotientGraph",
     "SCSet",
     "circuit_graph",
     "compute_sc",
-    "minimal_arrows",
     "quotient_graph",
     "resolve_cap",
     # solver

@@ -39,8 +39,8 @@ of x, taken here or handed in by the caller), at the shared power:
     Minimal arrows are always prefixes of iota(y) or complement(phi(y)), so
     the candidate set is tiny; candidates are tested in weight-then-index
     order, and one with a smaller arrow among its prefixes is skipped.  One
-    kernel, `_arrows`, tests them for the search, `minimal_arrows` and
-    `circuit_graph`, on (power, factors) tuples: each candidate s is one
+    kernel, `_arrows`, tests them for the search and `circuit_graph`, on
+    (power, factors) tuples: each candidate s is one
     conjugation of the factors by s (a left and a right RENORM pass, see
     `bkl4.engine`), and no braid object is built for it.  If
     some element of SC(x) is rigid, SC(x) is exactly the set of rigid
@@ -131,12 +131,10 @@ from bkl4.sliding import (
 __all__ = [
     "DEFAULT_CAP",
     "CapExceededError",
-    "NotInCircuitError",
     "SCSet",
     "Orbit",
     "QuotientGraph",
     "resolve_cap",
-    "minimal_arrows",
     "compute_sc",
     "quotient_graph",
     "circuit_graph",
@@ -159,10 +157,6 @@ class CapExceededError(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"sliding circuit set exceeds cap of {cap} elements")
         self.cap = cap
-
-
-class NotInCircuitError(ValueError):
-    """The queried braid is not a periodic point of cyclic sliding."""
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -284,20 +278,6 @@ def _arrows(
                     )
                 arrows.append((s, target))
     return arrows
-
-
-def minimal_arrows(y: GarsideBraid) -> tuple[Simple, ...]:
-    """The minimal arrows at y, sorted by (weight, canonical index).
-
-    Raises NotInCircuitError if y is not in its own sliding circuit set.
-    """
-    member = _is_rigid
-    if y.factors and not is_rigid(y):
-        entry = slide_to_circuit(y)
-        if entry.cycle_start:
-            raise NotInCircuitError(f"not in its sliding circuit set: {y!r}")
-        member = _membership(_raw(entry.steps))
-    return tuple(s for s, _ in _arrows(y.power, y.factors, member))
 
 
 class Orbit:
@@ -879,28 +859,21 @@ class QuotientGraph(_Record):
         return len(self.orbits)
 
     def is_path(self) -> bool:
-        """Whether the graph is a simple path through all vertices."""
+        """Whether the graph is a simple path through all vertices: a tree
+        (n - 1 edges and connected) whose degrees are at most 2."""
         n = len(self.orbits)
-        if n == 1:
-            return not self.edges
         if len(self.edges) != n - 1:
             return False
-        degree = [0] * n
-        for i, j in self.edges:
-            degree[i] += 1
-            degree[j] += 1
-        if sorted(degree)[:2] != [1, 1] or any(d > 2 for d in degree):
-            return False
-        # n-1 edges, max degree 2, exactly two endpoints: connected iff a path.
-        seen = {0}
-        frontier = [0]
-        adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
+        adjacency: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.edges:
             adjacency[i].append(j)
             adjacency[j].append(i)
+        if any(len(neighbors) > 2 for neighbors in adjacency):
+            return False
+        seen = {0}
+        frontier = [0]
         while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
+            for w in adjacency[frontier.pop()]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)

@@ -130,19 +130,8 @@ class GarsideBraid(_Record):
         return hash((self.power, self.factors))
 
     @property
-    def inf(self) -> int:
-        return self.power
-
-    @property
-    def sup(self) -> int:
-        return self.power + len(self.factors)
-
-    @property
     def canonical_length(self) -> int:
         return len(self.factors)
-
-    def is_identity(self) -> bool:
-        return self.power == 0 and not self.factors
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " . ".join(SIMPLE_NAMES[f] for f in self.factors) or "1"

@@ -38,9 +38,8 @@ indexed by `Simple` (an IntEnum):
     COMPOSE[a][b]        a*b if the product is simple, else None
     LQUOT[t][v]          t^-1 v if t divides v, else None
     LEFT_WEIGHTED[a][b]  whether a.b is left-weighted: MEET[COMPLEMENT[a]][b] = 1
-    RENORM[u][v]         one local sliding step on (u, v); see `_bootstrap`
-    IS_NORMAL[u][v]      whether (u, v) is a fixed point of RENORM
-    FOLLOWS[u]           the proper v with u.v normal (all 12 after delta)
+    RENORM[u][v]         one local sliding step on (u, v); see `_bootstrap`;
+                         its fixed points are the left-weighted pairs
 
 The tables are bootstrapped at import time by closing positive words of length
 <= 3 under the relation cells (exhaustive and exact at this size), and a
@@ -78,8 +77,6 @@ __all__ = [
     "LQUOT",
     "LEFT_WEIGHTED",
     "RENORM",
-    "IS_NORMAL",
-    "FOLLOWS",
     "self_check",
 ]
 
@@ -291,19 +288,6 @@ def _bootstrap() -> dict[str, tuple]:
             row.append((grown, rest))
         renorm_table.append(row)
 
-    is_normal_table = tuple(
-        tuple(renorm_table[u][v] == (u, v) for v in _SIMPLES) for u in _SIMPLES
-    )
-
-    follows_table: list[tuple[Simple, ...]] = []
-    for u in _SIMPLES:
-        if u == Simple.DELTA:
-            follows_table.append(PROPER_SIMPLES)
-        else:
-            follows_table.append(
-                tuple(v for v in PROPER_SIMPLES if is_normal_table[u][v])
-            )
-
     tau_power_table = [list(_SIMPLES)]
     for _ in range(3):
         tau_power_table.append([tau_table[s] for s in tau_power_table[-1]])
@@ -319,8 +303,6 @@ def _bootstrap() -> dict[str, tuple]:
         "LQUOT": tuple(tuple(row) for row in lquot_table),
         "LEFT_WEIGHTED": left_weighted_table,
         "RENORM": tuple(tuple(row) for row in renorm_table),
-        "IS_NORMAL": is_normal_table,
-        "FOLLOWS": tuple(follows_table),
     }
 
 
@@ -336,8 +318,6 @@ COMPOSE: tuple[tuple[Simple | None, ...], ...] = _TABLES["COMPOSE"]
 LQUOT: tuple[tuple[Simple | None, ...], ...] = _TABLES["LQUOT"]
 LEFT_WEIGHTED: tuple[tuple[bool, ...], ...] = _TABLES["LEFT_WEIGHTED"]
 RENORM: tuple[tuple[tuple[Simple, Simple], ...], ...] = _TABLES["RENORM"]
-IS_NORMAL: tuple[tuple[bool, ...], ...] = _TABLES["IS_NORMAL"]
-FOLLOWS: tuple[tuple[Simple, ...], ...] = _TABLES["FOLLOWS"]
 
 del _TABLES
 

@@ -1,6 +1,5 @@
 """
-sliding: cycling, decycling, the preferred prefix, cyclic sliding, rigidity,
-and sliding trajectories.
+sliding: cyclic sliding, rigidity, and sliding trajectories.
 
 For x = delta^p . x1 ... xr with r >= 1:
 
@@ -9,27 +8,28 @@ For x = delta^p . x1 ... xr with r >= 1:
     preferred prefix p(x)   = meet(iota(x), complement(phi(x)))
 
     cycling    c(x) = x^iota(x) = delta^p . x2 ... xr . tau^-p(x1)
-    decycling  d(x) = x^(xr^-1) = delta^p . tau^p(xr) . x1 ... x_{r-1}
     sliding    s(x) = x^p(x)
 
 x is rigid when the pair (phi(x), iota(x)) is left-weighted, which is the same
 as p(x) = 1, i.e. x is a fixed point of cyclic sliding.  Delta powers (r = 0)
-have no initial or final factor; cycling, decycling and sliding leave them
-unchanged.
+have no initial or final factor; sliding leaves them unchanged, and they are
+not rigid.
 
 Cycling and sliding conjugate by one simple, so each takes single passes of
-renorm steps over the factors (see `bkl4.engine`): cycling puts iota(x)
-after x2 ... xr with a right pass, and sliding conjugates by t with a left
-pass and a right pass.  `slide_to_circuit` iterates sliding until an element
-repeats, which finds the periodic part (a circuit of the sliding orbit) in
-finitely many steps.  It, and the membership walks of `bkl4.circuits`, slide
-(power, factors) tuples with `_slide` and build braids only for its result;
-the SC search of a rigid class tests such tuples with `_is_rigid`.
+renorm steps over the factors (see `bkl4.engine`): `_cycle_factors` puts
+iota(x) after x2 ... xr with a right pass, and `_slide` conjugates by p(x)
+with a left pass and a right pass.  Both work on (power, factors) tuples:
+`_slide` does every slide, of `slide_to_circuit` and of the membership walks
+of `bkl4.circuits`, and `_cycle_factors` every cycling step of the SC
+search.  `slide_to_circuit` iterates sliding until an element repeats, which
+finds the periodic part (a circuit of the sliding orbit) in finitely many
+steps, and builds braids only for its result; `slide_to_circuit(x).steps`
+and `.prefixes` are the slides of x and their preferred prefixes.  The SC
+search of a rigid class tests tuples with `_is_rigid`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import islice, starmap
 
 from bkl4.engine import (
@@ -42,81 +42,23 @@ from bkl4.engine import (
     _finish,
     _right_pass,
     braid_from_factors,
-    multiply,
 )
 from bkl4.simples import COMPLEMENT, LEFT_WEIGHTED, MEET, TAU_POWER, Simple
 
 __all__ = [
-    "DeltaPowerError",
-    "SlidingStep",
     "SlidingTrajectory",
-    "initial_factor",
-    "final_factor",
-    "preferred_prefix",
-    "cycling",
-    "decycling",
-    "cyclic_sliding",
     "is_rigid",
     "slide_to_circuit",
 ]
 
 
-class DeltaPowerError(ValueError):
-    """Raised when an operation needs canonical factors but x is a delta power."""
-
-
-SlidingStep = namedtuple("SlidingStep", "result prefix")
-SlidingStep.__doc__ = "One conjugation step: result = x^prefix."
-
-
-def initial_factor(x: GarsideBraid) -> Simple:
-    """iota(x) = tau^-p(x1); raises DeltaPowerError if x has no factors."""
-    if not x.factors:
-        raise DeltaPowerError(f"delta power has no initial factor: {x!r}")
-    return TAU_POWER[(-x.power) % 4][x.factors[0]]
-
-
-def final_factor(x: GarsideBraid) -> Simple:
-    """phi(x) = xr; raises DeltaPowerError if x has no factors."""
-    if not x.factors:
-        raise DeltaPowerError(f"delta power has no final factor: {x!r}")
-    return x.factors[-1]
-
-
-def preferred_prefix(x: GarsideBraid) -> Simple:
-    """p(x) = meet(iota(x), complement(phi(x)))."""
-    if not x.factors:
-        raise DeltaPowerError(f"delta power has no preferred prefix: {x!r}")
-    return MEET[initial_factor(x)][COMPLEMENT[x.factors[-1]]]
-
-
-def _cycle_factors(
-    power: int, factors: tuple[Simple, ...]
-) -> tuple[int, tuple[Simple, ...]]:
+def _cycle_factors(power: int, factors: Factors) -> tuple[int, Factors]:
     """c(x) for x = delta^power . factors (at least one factor), as the delta
     count it gains and its factors.  The SC search walks cycling with it."""
     fs = list(factors)
     fs.append(TAU_POWER[-power % 4][fs.pop(0)])
     _right_pass(fs)
     return _finish(fs)
-
-
-def cycling(x: GarsideBraid) -> GarsideBraid:
-    """c(x) = x^iota(x); identity operation on delta powers."""
-    if not x.factors:
-        return x
-    extra, factors = _cycle_factors(x.power, x.factors)
-    return GarsideBraid(x.power + extra, factors)
-
-
-def decycling(x: GarsideBraid) -> GarsideBraid:
-    """d(x) = x^(phi(x)^-1); identity operation on delta powers."""
-    if not x.factors:
-        return x
-    # phi(x) . delta^p . x1 ... x_{r-1}
-    return multiply(
-        GarsideBraid(0, x.factors[-1:]), GarsideBraid(x.power, x.factors[:-1])
-    )
 
 
 def _slide(power: int, factors: Factors) -> tuple[int, Factors, Simple]:
@@ -128,12 +70,6 @@ def _slide(power: int, factors: Factors) -> tuple[int, Factors, Simple]:
     if t == _ONE:
         return power, factors, t
     return (*_conjugate_factors(power, factors, t), t)
-
-
-def cyclic_sliding(x: GarsideBraid) -> SlidingStep:
-    """s(x) = x^p(x) with the prefix used; delta powers slide to themselves."""
-    power, factors, t = _slide(x.power, x.factors)
-    return SlidingStep(x if t == _ONE else GarsideBraid(power, factors), t)
 
 
 def _is_rigid(power: int, factors: Factors) -> bool:

@@ -1,6 +1,5 @@
 """
-words: the textual word syntax, formatting, the beta family, and the bridge
-to classical Artin generators.
+words: the textual word syntax, formatting, and the beta family.
 
 Grammar (terms separated by '.' or whitespace, exponents optional integers):
 
@@ -30,24 +29,14 @@ The beta family is the one-parameter stress family
     beta_k = a34.a23.a12.a13.a14.c124^(3k).a12^(-3k)
 
 whose normal form is rigid with infimum 0 and canonical length 3k + 5.
-
-`to_artin_letters` spells a signed band-generator word in the classical
-generators (1, 2, 3 meaning sigma1, sigma2, sigma3; negatives are inverses)
-using the band expansions
-
-    a13 = s2^-1 . s1 . s2        a24 = s3^-1 . s2 . s3
-    a14 = s3^-1 . s2^-1 . s1 . s2 . s3
-
-so an independent permutation-braid implementation can audit this package.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
 
 from bkl4.engine import GarsideBraid, braid_from_letters
-from bkl4.simples import SIMPLE_NAMES, SPELLING, Simple
+from bkl4.simples import SIMPLE_NAMES, Simple
 
 __all__ = [
     "MAX_WORD_LETTERS",
@@ -57,7 +46,6 @@ __all__ = [
     "format_braid",
     "format_braid_compact",
     "beta_word",
-    "to_artin_letters",
 ]
 
 Letter = tuple[Simple, int]
@@ -163,28 +151,4 @@ def beta_word(k: int) -> str:
     if k < 0:
         raise ValueError("beta index must be >= 0")
     return f"a34.a23.a12.a13.a14.c124^{3 * k}.a12^{-3 * k}"
-
-
-_ARTIN_ATOM: dict[Simple, tuple[int, ...]] = {
-    Simple.A12: (1,),
-    Simple.A23: (2,),
-    Simple.A34: (3,),
-    Simple.A13: (-2, 1, 2),
-    Simple.A24: (-3, 2, 3),
-    Simple.A14: (-3, -2, 1, 2, 3),
-}
-
-
-def to_artin_letters(letters: Iterable[Letter]) -> list[int]:
-    """Spell signed band-generator letters as signed Artin letters (1, 2, 3)."""
-    out: list[int] = []
-    for simple, exp in letters:
-        expansion: list[int] = []
-        for atom in SPELLING[simple]:
-            expansion.extend(_ARTIN_ATOM[atom])
-        if exp < 0:
-            expansion = [-g for g in reversed(expansion)]
-        for _ in range(abs(exp)):
-            out.extend(expansion)
-    return out
 

@@ -1,15 +1,29 @@
-"""Braids for the tests: random normal forms and the beta family.
+"""Braids for the tests: random normal forms, the beta family, and the bridge
+to classical Artin generators.
 
 `random_braid` draws a normal form factor by factor from the successor
-table, so it needs no normalization; `beta_braid` parses the beta_k word of
-`bkl4.words.beta_word`.
+table `FOLLOWS`, so it needs no normalization; `beta_braid` parses the
+beta_k word of `bkl4.words.beta_word`.
+
+`to_artin_letters` spells a signed band-generator word in the classical
+generators (1, 2, 3 meaning sigma1, sigma2, sigma3; negatives are inverses)
+using the band expansions
+
+    a13 = s2^-1 . s1 . s2        a24 = s3^-1 . s2 . s3
+    a14 = s3^-1 . s2^-1 . s1 . s2 . s3
+
+so the independent permutation-braid engine `bkl4.classical` can audit the
+dual one.
 """
 
 from __future__ import annotations
 
 from bkl4.engine import GarsideBraid
-from bkl4.simples import FOLLOWS, PROPER_SIMPLES
+from bkl4.simples import LEFT_WEIGHTED, PROPER_SIMPLES, SPELLING, Simple
 from bkl4.words import beta_word, parse_braid
+
+# FOLLOWS[u]: the proper simples v with u.v left-weighted (all 12 after delta).
+FOLLOWS = tuple(tuple(v for v in PROPER_SIMPLES if LEFT_WEIGHTED[u][v]) for u in Simple)
 
 
 def random_braid(rng, canonical_length: int, inf: int = 0) -> GarsideBraid:
@@ -30,3 +44,28 @@ def random_braid(rng, canonical_length: int, inf: int = 0) -> GarsideBraid:
 def beta_braid(k: int) -> GarsideBraid:
     """The normalized beta_k braid."""
     return parse_braid(beta_word(k))
+
+
+_ARTIN_ATOM: dict[Simple, tuple[int, ...]] = {
+    Simple.A12: (1,),
+    Simple.A23: (2,),
+    Simple.A34: (3,),
+    Simple.A13: (-2, 1, 2),
+    Simple.A24: (-3, 2, 3),
+    Simple.A14: (-3, -2, 1, 2, 3),
+}
+
+
+def to_artin_letters(letters) -> list[int]:
+    """Spell signed band-generator letters [(simple, exponent), ...] as
+    signed Artin letters (1, 2, 3)."""
+    out: list[int] = []
+    for simple, exp in letters:
+        expansion: list[int] = []
+        for atom in SPELLING[simple]:
+            expansion.extend(_ARTIN_ATOM[atom])
+        if exp < 0:
+            expansion = [-g for g in reversed(expansion)]
+        for _ in range(abs(exp)):
+            out.extend(expansion)
+    return out

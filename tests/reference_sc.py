@@ -1,60 +1,64 @@
-"""Reference sliding circuit search for the tests: the plain per-element
-breadth-first search that `bkl4.circuits.compute_sc` replaces.
+"""Reference sliding circuit search for the tests: a brute-force closure that
+shares no search, orbit or arrow code with `bkl4.circuits`.
 
-`reference_sc` visits every element of SC(x), tests minimal arrows at each
-one and also follows tau, cycling and decycling, keeping an eager conjugator
-per element.  `orbit_partition` closes a set of elements under tau and
-cycling, and `reference_quotient` takes the minimal arrows of each orbit's
-canonical representative.  They share `minimal_arrows` with the library but
-none of its orbit bookkeeping, so agreement checks the orbit-at-a-time
-search.
+SC(x) is the set of periodic points of cyclic sliding in the conjugacy class
+of x, and every element of it is reached from any other by conjugations by
+simple elements (Gebhardt and González-Meneses, J. Symb. Comput. 2010).
+`reference_sc` starts from the circuit representative of x and closes under
+conjugation by all 13 nontrivial simples, keeping a conjugate when it is in
+SC by definition: its own sliding walk comes back to it.  Only positive
+simples are needed, so decycling (conjugation by phi(y)^-1) is not followed.
+`orbit_partition` closes a set of elements under tau and cycling, written as
+conjugations by delta and by iota(y), and `reference_quotient` labels an
+edge with the minimal arrows of each orbit's canonical representative: the
+simples s with rep^s in the set that have no other such simple among their
+divisors.
 """
 
 from __future__ import annotations
 
-from bkl4.circuits import minimal_arrows
-from bkl4.engine import (
-    GarsideBraid,
-    braid_from_factors,
-    conjugate,
-    invert,
-    multiply,
-    tau_braid,
-)
-from bkl4.simples import WEIGHT, Simple
-from bkl4.sliding import (
-    cycling,
-    decycling,
-    final_factor,
-    initial_factor,
-    slide_to_circuit,
-)
+from bkl4.engine import GarsideBraid, conjugate
+from bkl4.simples import DIVISORS, TAU_POWER, WEIGHT, Simple
+from bkl4.sliding import slide_to_circuit
+
+NONTRIVIAL = tuple(s for s in Simple if s != Simple.ONE)
 
 
-def reference_sc(x: GarsideBraid) -> dict[GarsideBraid, GarsideBraid]:
-    """SC(x) as {element: z with x^z = element}, in breadth-first order."""
-    entry = slide_to_circuit(x)
-    rep = entry.representative
-    conjugators = {rep: entry.accumulated_conjugator}
-    queue = [rep]
-    delta = GarsideBraid(1, ())
+def _by(y: GarsideBraid, s: Simple) -> GarsideBraid:
+    """y^s for a simple s."""
+    return conjugate(y, GarsideBraid(0, (s,)))
+
+
+def _tau_images(y: GarsideBraid) -> list[GarsideBraid]:
+    """y, tau(y), tau^2(y) and tau^3(y), each once."""
+    images = [y]
+    for _ in range(3):
+        images.append(_by(images[-1], Simple.DELTA))
+    return list(dict.fromkeys(images))
+
+
+def reference_sc(x: GarsideBraid) -> tuple[GarsideBraid, ...]:
+    """SC(x), in breadth-first order from the circuit representative of x.
+
+    tau is an automorphism that commutes with sliding, so tau^k(y) is in SC
+    exactly when y is, and its conjugate by tau^k(s) is tau^k(y^s): the
+    conjugates of one element of each tau class give those of the others,
+    and each new conjugate's walk answers for its whole tau class.
+    """
+    start = slide_to_circuit(x).representative
+    elements = _tau_images(start)
+    seen = set(elements)  # every conjugate tested, in SC or not
+    queue = [start]  # one element of each tau class in SC
     for y in queue:
-        zy = conjugators[y]
-        neighbors = []
-        for s in minimal_arrows(y):
-            ext = braid_from_factors(0, (s,))
-            neighbors.append((conjugate(y, ext), ext))
-        neighbors.append((tau_braid(y), delta))
-        if y.factors:
-            neighbors.append((cycling(y), braid_from_factors(0, (initial_factor(y),))))
-            neighbors.append(
-                (decycling(y), invert(braid_from_factors(0, (final_factor(y),))))
-            )
-        for target, ext in neighbors:
-            if target not in conjugators:
-                conjugators[target] = multiply(zy, ext)
-                queue.append(target)
-    return conjugators
+        for s in NONTRIVIAL:
+            t = _by(y, s)
+            if t not in seen:
+                images = _tau_images(t)
+                seen.update(images)
+                if slide_to_circuit(t).cycle_start == 0:
+                    elements.extend(images)
+                    queue.append(t)
+    return tuple(elements)
 
 
 def braid_key(b: GarsideBraid) -> tuple[int, tuple[int, ...]]:
@@ -72,7 +76,10 @@ def orbit_partition(elements) -> list[tuple[GarsideBraid, ...]]:
         frontier = [seed]
         while frontier:
             y = frontier.pop()
-            for neighbor in (tau_braid(y), cycling(y)):
+            neighbors = [_by(y, Simple.DELTA)]  # tau(y)
+            if y.factors:  # cycling: y^iota(y), iota(y) = tau^-p(y1)
+                neighbors.append(_by(y, TAU_POWER[-y.power % 4][y.factors[0]]))
+            for neighbor in neighbors:
                 if neighbor in todo:
                     todo.remove(neighbor)
                     component.add(neighbor)
@@ -92,9 +99,11 @@ def reference_quotient(
     labels: dict[tuple[int, int], set[Simple]] = {}
     for i, orbit in enumerate(orbits):
         rep = orbit[0]
-        for s in minimal_arrows(rep):
-            j = index_of[conjugate(rep, braid_from_factors(0, (s,)))]
-            if j != i:
+        targets = {s: index_of.get(_by(rep, s)) for s in NONTRIVIAL}
+        arrows = {s for s, j in targets.items() if j is not None}
+        for s in arrows:
+            j = targets[s]
+            if j != i and not any(a != s and a in DIVISORS[s] for a in arrows):
                 labels.setdefault((min(i, j), max(i, j)), set()).add(s)
     return orbits, {
         key: tuple(sorted(names, key=lambda s: (WEIGHT[s], int(s))))

@@ -13,9 +13,10 @@ import time
 
 import pytest
 
-from bkl4.circuits import compute_sc, minimal_arrows, quotient_graph
+from bkl4.circuits import circuit_graph, compute_sc, quotient_graph
 from bkl4.classical import classical_is_trivial
 from bkl4.engine import (
+    IDENTITY,
     GarsideBraid,
     braid_from_factors,
     braid_from_letters,
@@ -28,22 +29,15 @@ from bkl4.simples import (
     COMPLEMENT,
     COMPOSE,
     DIVISORS,
-    IS_NORMAL,
+    LEFT_WEIGHTED,
     TAU_POWER,
     WEIGHT,
     Simple,
     self_check,
 )
-from bkl4.sliding import (
-    cyclic_sliding,
-    final_factor,
-    initial_factor,
-    is_rigid,
-    slide_to_circuit,
-)
+from bkl4.sliding import _slide, is_rigid, slide_to_circuit
 from bkl4.solver import CONJUGATE, NOT_CONJUGATE, solve_conjugacy, verify_certificate
-from bkl4.words import to_artin_letters
-from braids import beta_braid, random_braid
+from braids import beta_braid, random_braid, to_artin_letters
 from reference_sc import reference_quotient, reference_sc
 
 # ---------------------------------------------------------------------------
@@ -83,7 +77,7 @@ def test_01_beta_family(beta_sc):
     for k in range(1, 6):
         x, sc, _ = beta_sc[k]
         assert is_rigid(x)
-        assert x.inf == 0
+        assert x.power == 0
         assert x.canonical_length == 3 * k + 5
         assert sc.size == 4 * (3 * k + 2) * (3 * k + 5)
         graph = quotient_graph(sc)
@@ -123,7 +117,7 @@ def test_03_table_self_checks():
     for a in simples:
         for b in simples:
             if WEIGHT[a] == 2 and normalize_factors((a, b))[0] == 0:
-                assert IS_NORMAL[a][b]
+                assert LEFT_WEIGHTED[a][b]
     self_check()
 
 
@@ -161,7 +155,7 @@ def test_04_oracle_equivalence():
         else:
             w2 = [rng.choice(alphabet) for _ in range(rng.randrange(0, 21))]
         product = w1 + [-letter for letter in reversed(w2)]
-        dual_trivial = _dual_from_artin(product).is_identity()
+        dual_trivial = _dual_from_artin(product) == IDENTITY
         classical_trivial = classical_is_trivial(product)
         assert dual_trivial == classical_trivial
         if i % 3 == 0:
@@ -181,13 +175,13 @@ def test_05_sliding_bound():
     rng = random.Random(5)
     for _ in range(10_000):
         x = random_braid(rng, rng.randrange(1, 31), rng.randrange(-3, 4))
-        y = x
+        p, factors = x.power, x.factors
         for _ in range(3 * x.canonical_length):
-            y = cyclic_sliding(y).result
-        stable = (y.inf, y.sup)
+            p, factors, _ = _slide(p, factors)
+        stable = (p, p + len(factors))  # (inf, sup)
         for _ in range(10):
-            y = cyclic_sliding(y).result
-            assert (y.inf, y.sup) == stable
+            p, factors, _ = _slide(p, factors)
+            assert (p, p + len(factors)) == stable
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +265,12 @@ def _edge_form(r, ks):
     return braid_from_factors(0, tuple(factors))
 
 
-def _strict_prefix_arrows(y):
-    iota = initial_factor(y)
-    dphi = COMPLEMENT[final_factor(y)]
+def _strict_prefix_arrows(sc, y):
+    iota = TAU_POWER[-y.power % 4][y.factors[0]]
+    dphi = COMPLEMENT[y.factors[-1]]
     return [
         s
-        for s in minimal_arrows(y)
+        for s, _ in circuit_graph(sc)[y]
         if (s in DIVISORS[iota] and s != iota)
         or (s in DIVISORS[dphi] and s != dphi)
     ]
@@ -303,7 +297,7 @@ def test_09_edge_case_family():
         assert graph.vertex_count <= 6
         assert sc.size <= 24 * y.canonical_length
         if r > 1:
-            strict = _strict_prefix_arrows(y)
+            strict = _strict_prefix_arrows(sc, y)
             if r % 3 == 0:
                 assert len(strict) == 3
             else:

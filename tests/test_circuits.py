@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from bkl4 import circuits
 from bkl4.circuits import (
     CapExceededError,
-    NotInCircuitError,
+    QuotientGraph,
     circuit_graph,
     compute_sc,
-    minimal_arrows,
     quotient_graph,
     resolve_cap,
 )
@@ -26,8 +25,8 @@ from bkl4.engine import (
     conjugate,
     power,
 )
-from bkl4.simples import ATOMS, COMPLEMENT, DIVISORS, WEIGHT, Simple
-from bkl4.sliding import final_factor, initial_factor, is_rigid, slide_to_circuit
+from bkl4.simples import ATOMS, COMPLEMENT, DIVISORS, TAU_POWER, WEIGHT, Simple
+from bkl4.sliding import is_rigid, slide_to_circuit
 from braids import beta_braid, random_braid
 from reference_sc import orbit_partition, reference_sc
 
@@ -41,15 +40,16 @@ S, W, N, E, M, A = (
 )
 
 
+def minimal_arrows(y: GarsideBraid) -> tuple[Simple, ...]:
+    """The minimal arrows at y, an element of SC(y), read off the circuit
+    graph of SC(y)."""
+    return tuple(s for s, _ in circuit_graph(compute_sc(y))[y])
+
+
 def test_minimal_arrows_of_diagonal_square_frozen():
     # At a13^2 the candidate prefixes come from iota = a13 and
     # complement(phi) = p12-34; three survive, in weight-then-index order.
     assert minimal_arrows(GarsideBraid(0, (M, M))) == (S, N, M)
-
-
-def test_minimal_arrows_requires_circuit_membership():
-    with pytest.raises(NotInCircuitError):
-        minimal_arrows(GarsideBraid(0, (W, S)))  # slides down to c123
 
 
 def test_minimal_arrows_of_delta_powers():
@@ -83,6 +83,24 @@ def test_six_squares_sc_frozen():
     assert q.edges == ((0, 1),)
     assert q.edge_labels[(0, 1)] == (S, W, N)
     assert q.is_path()
+
+
+def _graph(n: int, edges: list[tuple[int, int]]) -> QuotientGraph:
+    """A quotient graph on n placeholder vertices: `is_path` reads only
+    their number and the edges."""
+    return QuotientGraph((None,) * n, tuple(edges), {e: () for e in edges})
+
+
+def test_is_path_on_hand_built_graphs():
+    # A path is a tree (n - 1 edges and connected) with no degree above 2.
+    assert _graph(1, []).is_path()
+    assert _graph(4, [(0, 1), (1, 2), (2, 3)]).is_path()
+    assert _graph(4, [(0, 2), (1, 3), (2, 3)]).is_path()  # 0 - 2 - 3 - 1
+    assert not _graph(4, [(0, 1), (0, 2), (0, 3)]).is_path()  # a star
+    # A triangle and an isolated vertex: n - 1 edges, degrees <= 2.
+    assert not _graph(4, [(0, 1), (0, 2), (1, 2)]).is_path()
+    assert not _graph(5, [(0, 1), (1, 2), (3, 4)]).is_path()  # two paths
+    assert not _graph(2, []).is_path()
 
 
 def test_atom_power_scs():
@@ -190,11 +208,11 @@ def test_stop_at_early_exit():
 
 
 def test_arrows_are_arrows_and_minimal():
-    # minimal_arrows against a brute force that shares none of its candidate
-    # filter: the nontrivial simples s with y^s in the complete SC are the
-    # arrows at y, and the minimal ones have no other arrow among their
-    # prefixes.  On every element of SC(beta_1), of two non-rigid sets and
-    # of a delta power.
+    # The circuit graph against a brute force that shares none of its
+    # candidate filter: the nontrivial simples s with y^s in the complete SC
+    # are the arrows at y, and the minimal ones have no other arrow among
+    # their prefixes.  On every element of SC(beta_1), of two non-rigid sets
+    # and of a delta power.
     nontrivial = [s for s in Simple if s != Simple.ONE]
     bases = [beta_braid(1), *_non_rigid_classes(2, 5), GarsideBraid(2, ())]
     checked = 0
@@ -202,6 +220,7 @@ def test_arrows_are_arrows_and_minimal():
         sc = compute_sc(x)
         assert sc.complete
         members = set(sc.elements)
+        graph = circuit_graph(sc)
         for y in sc.elements:
             arrows = {
                 s for s in nontrivial if conjugate(y, GarsideBraid(0, (s,))) in members
@@ -211,7 +230,7 @@ def test_arrows_are_arrows_and_minimal():
                 key=lambda s: (WEIGHT[s], s),
             )
             assert minimal, y
-            assert minimal_arrows(y) == tuple(minimal), y
+            assert tuple(s for s, _ in graph[y]) == tuple(minimal), y
             checked += 1
     assert checked == 160 + 60 + 20 + 1
 
@@ -232,9 +251,10 @@ def test_orbit_partition_is_a_partition():
 
 def test_orbit_arrows_are_the_representative_arrows():
     sc = compute_sc(beta_braid(2))
+    graph = circuit_graph(sc)
     for orbit in sc.orbits:
         rep = orbit.representative
-        assert [s for s, _ in orbit.arrows] == list(minimal_arrows(rep))
+        assert orbit.arrows == graph[rep]
         for s, target in orbit.arrows:
             assert target == conjugate(rep, braid_from_factors(0, (s,)))
             assert target in sc
@@ -366,14 +386,18 @@ def _non_rigid_classes(count: int, seed: int) -> list[GarsideBraid]:
 
 def test_circuit_graph_matches_per_element_arrows():
     # The graph twists the arrows of one element of each tau class; every
-    # vertex must still get exactly its own minimal arrows and targets.
+    # vertex must still get exactly its own minimal arrows and targets, as
+    # the arrow kernel finds them at that vertex.
     bases = [beta_braid(k) for k in (1, 2, 3)] + _non_rigid_classes(50, 5)
     for x in bases:
         sc = compute_sc(x)
         graph = circuit_graph(sc)
         assert list(graph) == list(sc.elements)
+        member = circuits._is_rigid
+        if not sc.rigid:
+            member = circuits._membership((y.power, y.factors) for y in sc)
         for y, arrows in graph.items():
-            expected = minimal_arrows(y)
+            expected = tuple(s for s, _ in circuits._arrows(y.power, y.factors, member))
             assert tuple(s for s, _ in arrows) == expected
             for s, target in arrows:
                 assert target == conjugate(y, GarsideBraid(0, (s,)))
@@ -434,9 +458,8 @@ def test_memoized_membership_matches_sliding_walks(seed):
     sc = compute_sc(x)
     for orbit in sc.orbits:
         y = orbit.representative
-        candidates = (
-            DIVISORS[initial_factor(y)] | DIVISORS[COMPLEMENT[final_factor(y)]]
-        ) - {Simple.ONE}
+        iota = TAU_POWER[-y.power % 4][y.factors[0]]
+        candidates = (DIVISORS[iota] | DIVISORS[COMPLEMENT[y.factors[-1]]]) - {Simple.ONE}
         for s in sorted(candidates):
             t = conjugate(y, GarsideBraid(0, (s,)))
             assert member(t) == (slide_to_circuit(t).cycle_start == 0), (y, s)

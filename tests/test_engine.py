@@ -23,16 +23,16 @@ from bkl4.engine import (
     power,
     tau_braid,
 )
-from bkl4.simples import FOLLOWS, LEFT_WEIGHTED, PROPER_SIMPLES, TAU_POWER, Simple
-from bkl4.sliding import (
-    cyclic_sliding,
-    cycling,
-    decycling,
-    initial_factor,
-    preferred_prefix,
+from bkl4.simples import (
+    COMPLEMENT,
+    LEFT_WEIGHTED,
+    MEET,
+    PROPER_SIMPLES,
+    TAU_POWER,
+    Simple,
 )
-from bkl4.words import to_artin_letters
-from braids import random_braid
+from bkl4.sliding import _cycle_factors, _slide
+from braids import FOLLOWS, random_braid, to_artin_letters
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -302,12 +302,16 @@ def test_single_simple_passes_match_full_normalization(x, s, q):
     z = braid_from_factors(q, (s,))
     assert conjugate(x, z) == _conjugate(x, z)
     if x.factors:
-        iota = braid_from_factors(0, (initial_factor(x),))
-        assert cycling(x) == _conjugate(x, iota)
-        prefix = braid_from_factors(0, (preferred_prefix(x),))
-        assert cyclic_sliding(x).result == _conjugate(x, prefix)
-        phi = braid_from_factors(0, (x.factors[-1],))
-        assert decycling(x) == _conjugate(x, invert(phi))
+        # Cycling and sliding, as the SC search and `slide_to_circuit` take
+        # them, on raw (power, factors) tuples.
+        iota = TAU_POWER[-x.power % 4][x.factors[0]]
+        extra, factors = _cycle_factors(x.power, x.factors)
+        cycled = GarsideBraid(x.power + extra, factors)
+        assert cycled == _conjugate(x, braid_from_factors(0, (iota,)))
+        prefix = MEET[iota][COMPLEMENT[x.factors[-1]]]
+        p, factors, t = _slide(x.power, x.factors)
+        assert t == prefix
+        assert GarsideBraid(p, factors) == _conjugate(x, braid_from_factors(0, (prefix,)))
         assert_normal(conjugate(x, simple))
 
 
@@ -322,7 +326,7 @@ def test_single_simple_passes_do_not_fall_back(monkeypatch):
         return [
             (conjugate(x, z), multiply(x, z), multiply(z, x))
             for z in (GarsideBraid(0, (s,)) for s in PROPER_SIMPLES)
-        ] + [cycling(x), cyclic_sliding(x)]
+        ] + [_cycle_factors(x.power, x.factors), _slide(x.power, x.factors)]
 
     rng = random.Random(17)
     cases = [

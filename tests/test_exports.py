@@ -71,13 +71,14 @@ def test_library_imports_neither_dataclasses_nor_typing():
             assert not roots & {"dataclasses", "typing"}, f"{path.name}:{node.lineno}"
 
 
-def test_every_private_name_is_used_in_the_library():
-    # A private module-level name or private method that only its own
-    # definition (or a test) refers to is a leftover path: the library no
-    # longer runs it.  References are loaded names, attributes and imports.
+def _definitions_and_references():
+    """Every module- and class-level definition in the package, as (file,
+    name, first line, last line), and every reference, as (file, name, line,
+    loaded): loaded names and attributes have `loaded` True, imported names
+    False."""
     sources = sorted(Path(bkl4.__file__).parent.glob("*.py"))
-    definitions = []  # (file, name, first line, last line)
-    references = []  # (file, name, line)
+    definitions = []
+    references = []
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
         scopes = [tree.body]
@@ -93,23 +94,60 @@ def test_every_private_name_is_used_in_the_library():
                 else:
                     continue
                 for name in names:
-                    if name.startswith("_") and not name.startswith("__"):
-                        span = (node.lineno, node.end_lineno)
-                        definitions.append((path.name, name, *span))
+                    definitions.append((path.name, name, node.lineno, node.end_lineno))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                references.append((path.name, node.id, node.lineno))
+                references.append((path.name, node.id, node.lineno, True))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                references.append((path.name, node.attr, node.lineno))
+                references.append((path.name, node.attr, node.lineno, True))
             elif isinstance(node, ast.ImportFrom):
-                references.extend((path.name, a.name, node.lineno) for a in node.names)
-    assert len(definitions) > 50
+                references.extend((path.name, a.name, node.lineno, False) for a in node.names)
+    return definitions, references
+
+
+def test_every_private_name_is_used_in_the_library():
+    # A private module-level name or private method that only its own
+    # definition (or a test) refers to is a leftover path: the library no
+    # longer runs it.  References are loaded names, attributes and imports.
+    definitions, references = _definitions_and_references()
+    private = [
+        d for d in definitions if d[1].startswith("_") and not d[1].startswith("__")
+    ]
+    assert len(private) > 50
     unused = [
         f"{file}:{first} {name}"
-        for file, name, first, last in definitions
+        for file, name, first, last in private
         if not any(
             n == name and not (f == file and first <= line <= last)
-            for f, n, line in references
+            for f, n, line, _ in references
         )
     ]
+    assert not unused, unused
+
+
+def test_every_public_function_is_used_in_the_library():
+    # One spelling per operation: a function or class that a module exports
+    # must be loaded somewhere in the package outside its own definition and
+    # outside the package root's re-exports; an import alone does not count.
+    # `bkl4.classical` is exempt: it is the independent oracle the tests and
+    # the benchmark check the package against.
+    definitions, references = _definitions_and_references()
+    spans = {(f, n): (first, last) for f, n, first, last in definitions}
+    public = [
+        (f"{module.__name__.split('.')[1]}.py", name)
+        for module in MODULES
+        if module.__name__ != "bkl4.classical"
+        for name in getattr(module, "__all__", ())
+        if inspect.isfunction(vars(module)[name]) or inspect.isclass(vars(module)[name])
+    ]
+    assert len(public) > 30
+    unused = []
+    for file, name in public:
+        first, last = spans[file, name]
+        if not any(
+            n == name and loaded and f != "__init__.py"
+            and not (f == file and first <= line <= last)
+            for f, n, line, loaded in references
+        ):
+            unused.append(f"{file}:{first} {name}")
     assert not unused, unused

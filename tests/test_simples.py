@@ -12,8 +12,6 @@ from bkl4.simples import (
     COMPLEMENT,
     COMPOSE,
     DIVISORS,
-    FOLLOWS,
-    IS_NORMAL,
     LEFT_WEIGHTED,
     LQUOT,
     MEET,
@@ -26,6 +24,7 @@ from bkl4.simples import (
     Simple,
     self_check,
 )
+from braids import FOLLOWS
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -191,10 +190,10 @@ def test_left_weighted_c123_a12():
 def test_renorm_pair_and_follows():
     # A non-normal pair slides: (a13, c123) -> a13 absorbs MEET[p12-34][c123]=s.
     assert RENORM[M][Simple.C123] == (Simple.C123, W)
-    assert IS_NORMAL[M][Simple.C123] is False
-    assert IS_NORMAL[Simple.C123][W] is True  # MEET[a34][a23] = 1
+    assert LEFT_WEIGHTED[M][Simple.C123] is False
+    assert LEFT_WEIGHTED[Simple.C123][W] is True  # MEET[a34][a23] = 1
     assert RENORM[Simple.C123][N] == (Simple.DELTA, Simple.ONE)
-    assert IS_NORMAL[S][S] is True
+    assert LEFT_WEIGHTED[S][S] is True
     # Trailing identity and leading delta behave as sentinels.
     assert RENORM[Simple.ONE][M] == (M, Simple.ONE)
     assert RENORM[S][Simple.DELTA] == (Simple.DELTA, TAU_POWER[1][S])
@@ -204,7 +203,16 @@ def test_renorm_pair_and_follows():
     assert FOLLOWS[Simple.DELTA] == PROPER_SIMPLES
     for u in PROPER_SIMPLES:
         for v in PROPER_SIMPLES:
-            assert (v in FOLLOWS[u]) == IS_NORMAL[u][v]
+            assert (v in FOLLOWS[u]) == LEFT_WEIGHTED[u][v]
+
+
+def test_renorm_fixes_exactly_the_left_weighted_pairs():
+    # The single passes of `bkl4.engine` stop at the first renorm step that
+    # changes nothing, taking the rest of the pairs for normal: that needs
+    # RENORM[u][v] == (u, v) exactly when u.v is left-weighted, on all 196
+    # pairs (1 and delta included).
+    for u, v in itertools.product(Simple, Simple):
+        assert (RENORM[u][v] == (u, v)) == LEFT_WEIGHTED[u][v], (u, v)
 
 
 def test_weight2_normality_criterion():

@@ -1,10 +1,12 @@
-"""Tests for cycling, sliding, rigidity, and trajectories."""
+"""Tests for sliding, rigidity, and trajectories.
+
+Slides and their preferred prefixes are read off `slide_to_circuit` and
+checked against the definition p(y) = meet(iota(y), complement(phi(y)))."""
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,22 +15,11 @@ from bkl4.engine import (
     GarsideBraid,
     braid_from_factors,
     conjugate,
-    invert,
     multiply,
     power,
 )
-from bkl4.simples import SIMPLE_NAMES, Simple
-from bkl4.sliding import (
-    DeltaPowerError,
-    cyclic_sliding,
-    cycling,
-    decycling,
-    final_factor,
-    initial_factor,
-    is_rigid,
-    preferred_prefix,
-    slide_to_circuit,
-)
+from bkl4.simples import COMPLEMENT, MEET, SIMPLE_NAMES, TAU_POWER, Simple
+from bkl4.sliding import is_rigid, slide_to_circuit
 from bkl4.words import format_braid, parse_braid
 from braids import beta_braid, random_braid
 
@@ -42,27 +33,26 @@ S, W, N, E, M, A = (
 )
 
 
-def test_initial_and_final_factor():
-    x = GarsideBraid(0, (Simple.C123, S))
-    assert initial_factor(x) == Simple.C123
-    assert final_factor(x) == S
-    # Negative power twists the initial factor: iota = tau^-p(x1).
-    y = GarsideBraid(-1, (S,))
-    assert initial_factor(y) == E  # tau(a12) = a14
-    assert final_factor(y) == S
-    for bad in (IDENTITY, GarsideBraid(3, ())):
-        with pytest.raises(DeltaPowerError):
-            initial_factor(bad)
-        with pytest.raises(DeltaPowerError):
-            final_factor(bad)
-        with pytest.raises(DeltaPowerError):
-            preferred_prefix(bad)
+def _prefix(y: GarsideBraid) -> Simple:
+    """The preferred prefix meet(iota(y), complement(phi(y))) by its
+    definition, iota(y) = tau^-p(x1) for y = delta^p . x1 ... xr; 1 for a
+    delta power."""
+    if not y.factors:
+        return Simple.ONE
+    return MEET[TAU_POWER[-y.power % 4][y.factors[0]]][COMPLEMENT[y.factors[-1]]]
+
+
+def _first_slide(y: GarsideBraid) -> tuple[GarsideBraid, Simple]:
+    """The first slide of y and its prefix, read off the sliding walk."""
+    walk = slide_to_circuit(y)
+    nxt = 1 if len(walk.steps) > 1 else walk.cycle_start
+    return walk.steps[nxt], walk.prefixes[0]
 
 
 def test_preferred_prefix_frozen():
-    assert preferred_prefix(GarsideBraid(0, (Simple.C123, S))) == W
-    assert preferred_prefix(GarsideBraid(0, (Simple.C123, W))) == M
-    assert preferred_prefix(GarsideBraid(0, (M, M))) == Simple.ONE
+    assert _first_slide(GarsideBraid(0, (Simple.C123, S)))[1] == W
+    assert _first_slide(GarsideBraid(0, (Simple.C123, W)))[1] == M
+    assert _first_slide(GarsideBraid(0, (M, M)))[1] == Simple.ONE
 
 
 def test_sliding_circuit_of_c123_a12_frozen():
@@ -95,32 +85,26 @@ def test_rigid_iff_trivial_prefix():
     rng = random.Random(31)
     for _ in range(500):
         x = random_braid(rng, rng.randrange(1, 7), rng.randrange(-3, 4))
-        assert is_rigid(x) == (preferred_prefix(x) == Simple.ONE)
+        assert is_rigid(x) == (_first_slide(x)[1] == Simple.ONE)
         if is_rigid(x):
-            assert cyclic_sliding(x).result == x
+            assert _first_slide(x)[0] == x
 
 
 def test_sliding_is_conjugation_by_prefix():
     rng = random.Random(47)
     for _ in range(400):
         x = random_braid(rng, rng.randrange(1, 8), rng.randrange(-3, 4))
-        step = cyclic_sliding(x)
-        assert step.result == conjugate(x, braid_from_factors(0, (step.prefix,)))
-        assert cycling(x) == conjugate(
-            x, braid_from_factors(0, (initial_factor(x),))
-        )
-        assert decycling(x) == conjugate(
-            x, invert(braid_from_factors(0, (final_factor(x),)))
-        )
+        result, prefix = _first_slide(x)
+        assert prefix == _prefix(x)
+        assert result == conjugate(x, braid_from_factors(0, (prefix,)))
 
 
 def test_delta_powers_are_fixed():
     for p in (-2, 0, 1, 3):
         x = GarsideBraid(p, ())
-        assert cycling(x) == x
-        assert decycling(x) == x
-        step = cyclic_sliding(x)
-        assert step.result == x and step.prefix == Simple.ONE
+        result, prefix = _first_slide(x)
+        assert result == x and prefix == Simple.ONE
+        assert slide_to_circuit(x).steps == (x,)
 
 
 def test_slide_to_circuit_structure():
@@ -157,9 +141,9 @@ def test_sliding_does_not_worsen_inf_sup():
     rng = random.Random(6)
     for _ in range(300):
         x = random_braid(rng, rng.randrange(1, 7), rng.randrange(-3, 4))
-        y = cyclic_sliding(x).result
-        assert y.inf >= x.inf
-        assert y.sup <= x.sup
+        y = _first_slide(x)[0]
+        assert y.power >= x.power  # inf
+        assert y.power + len(y.factors) <= x.power + len(x.factors)  # sup
 
 
 def test_powers_of_rigid_are_rigid():
@@ -198,12 +182,13 @@ def test_slide_to_circuit_is_the_cyclic_sliding_walk(seed, kind):
     x = _walk_start(seed, kind)
     steps, prefixes = [x], []
     while True:
-        step = cyclic_sliding(steps[-1])
-        prefixes.append(step.prefix)
-        if step.result in steps:
-            start = steps.index(step.result)
+        t = _prefix(steps[-1])
+        result = conjugate(steps[-1], GarsideBraid(0, (t,)))
+        prefixes.append(t)
+        if result in steps:
+            start = steps.index(result)
             break
-        steps.append(step.result)
+        steps.append(result)
     z = IDENTITY
     for t in prefixes[:start]:
         z = multiply(z, GarsideBraid(0, (t,)))

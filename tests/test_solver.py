@@ -31,8 +31,8 @@ from bkl4.solver import (
     solve_conjugacy,
     verify_certificate,
 )
-from bkl4.words import parse_braid, to_artin_letters
-from braids import beta_braid, random_braid
+from bkl4.words import parse_braid
+from braids import beta_braid, random_braid, to_artin_letters
 from reference_sc import reference_sc
 
 S, W, N, E, M, A = (

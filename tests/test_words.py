@@ -20,9 +20,8 @@ from bkl4.words import (
     format_braid_compact,
     parse_braid,
     parse_word,
-    to_artin_letters,
 )
-from braids import beta_braid, random_braid
+from braids import beta_braid, random_braid, to_artin_letters
 
 S, W, N, E, M, A = (
     Simple.A12,
