@@ -30,8 +30,8 @@ of x, taken here or handed in by the caller), at the shared power:
     byte no simple uses, the words make one haystack for substring search:
     an arrow target is looked for first in the orbit it leaves and in that
     orbit's parent, and only the others get a key.
-    Members, membership, conjugators and the circuit graph read windows off
-    the words: a member's position j in the walk is a `bytes.find`.
+    Members, elements and conjugators read windows off the words: a
+    member's position j in the walk is a `bytes.find`.
   * In any other class cycling renormalizes, so an orbit keeps its members'
     factor tuples, and the set is one dict {factors: orbit}.
   * An *arrow* at y in SC(x) is a nontrivial simple s with y^s in SC(x); it is
@@ -67,13 +67,14 @@ of x, taken here or handed in by the caller), at the shared power:
 
 Conjugators are kept per orbit: the orbit's seed, the orbit whose
 representative leads to it and the arrow between them (the search start
-gets its conjugator from its sliding walk).  `SCSet.conjugators` builds the
-conjugator of a member when it is read: the seed's conjugator, times the
-initial factors of the first j cycling steps from the seed, times delta^k,
-for the smallest (j, k) with tau^k(c^j(seed)) the member.  So the search
-doubles as a conjugacy-certificate finder (`stop_at`).  Apart from the
-sliding walk it starts from, the search builds no braid object: a braid is
-built only for an element, an arrow target or a conjugator that is read.
+gets its conjugator from its sliding walk).  A member's conjugator is built
+when it is asked for: the seed's conjugator, times the initial factors of
+the first j cycling steps from the seed, times delta^k, for the smallest
+(j, k) with tau^k(c^j(seed)) the member.  So the search doubles as a
+conjugacy-certificate finder (`stop_at`), and `SCSet.conjugators()` builds
+every member's conjugator in search order.  Apart from the sliding walk it
+starts from, the search builds no braid object: a braid is built only for
+an element or a conjugator that is asked for.
 
 An arrow s at y is *useful* when y^s lies outside O(y).  The quotient graph
 has one vertex per orbit and, for each useful arrow of the orbit's
@@ -90,15 +91,7 @@ CapExceededError rather than silently truncating.
 from __future__ import annotations
 
 import os
-from collections.abc import (
-    Callable,
-    Container,
-    ItemsView,
-    Iterable,
-    Iterator,
-    Mapping,
-    ValuesView,
-)
+from collections.abc import Callable, Container, Iterable, Iterator
 
 from bkl4.engine import (
     Factors,
@@ -107,7 +100,6 @@ from bkl4.engine import (
     _conjugate_factors,
     _set,
     braid_from_factors,
-    conjugate,
     multiply,
     tau_braid,
 )
@@ -284,10 +276,10 @@ class Orbit:
     """One tau/cycling orbit inside an SC set.
 
     `members` lists its elements in canonical order (the representative
-    first), and `arrows` the minimal arrows at the representative, each
-    with its target element, in (weight, canonical index) order; both are
-    built when they are read.  A rigid class has `_RigidOrbit`s, any other
-    class `_CyclingOrbit`s; they differ in how they hold the members.
+    first), built when it is read.  The orbit keeps the minimal arrows at
+    its representative and the keys of the orbits they lead to, which the
+    quotient graph reads.  A rigid class has `_RigidOrbit`s, any other class
+    `_CyclingOrbit`s; they differ in how they hold the members.
     """
 
     __slots__ = (
@@ -309,10 +301,10 @@ class Orbit:
         arrow: Simple,
         seed_conjugator: GarsideBraid | None = None,
     ) -> None:
-        # The minimal arrows at the representative; `arrows` builds their
-        # targets when it is read.
+        # The minimal arrows at the representative, in (weight, canonical
+        # index) order.
         self._labels: tuple[Simple, ...] = ()
-        # The key of the orbit each arrow leads to, in the order of `arrows`.
+        # The key of the orbit each arrow leads to, in the order of `_labels`.
         # Keys, not orbits: a reference to an orbit would close a cycle
         # (to itself or back to the parent), and orbits in cycles outlive
         # their search until the cyclic garbage collector runs.
@@ -336,19 +328,6 @@ class Orbit:
     @property
     def representative(self) -> GarsideBraid:
         return GarsideBraid(self._power, self._factors(self._key))
-
-    @property
-    def arrows(self) -> tuple[tuple[Simple, GarsideBraid], ...]:
-        rep = self.representative
-        return tuple((s, conjugate(rep, GarsideBraid(0, (s,)))) for s in self._labels)
-
-    def __contains__(self, y: object) -> bool:
-        return (
-            isinstance(y, GarsideBraid)
-            and y.power == self._power
-            and len(y.factors) == len(self._seed)
-            and self._holds(self._member(y.factors))
-        )
 
     def _conjugator(self, member: Member) -> GarsideBraid:
         """z with base^z the member."""
@@ -446,14 +425,6 @@ class _RigidOrbit(Orbit):
         self._key = _least_window(self._haystack, len(seed), self._period)
 
     @staticmethod
-    def _index_key(power: int, member: bytes) -> bytes:
-        """The key of the orbit that would hold `member`, without building
-        the orbit: the least window over every twist of its cyclic word."""
-        doubled, d = _cyclic_word(power, member)
-        haystack = b"\xff".join(doubled.translate(twist) for twist in _TWIST)
-        return _least_window(haystack, len(member), d)
-
-    @staticmethod
     def _factors(member: bytes) -> Factors:
         return tuple(map(_SIMPLES.__getitem__, member))
 
@@ -501,11 +472,6 @@ class _CyclingOrbit(Orbit):
 
     _member = staticmethod(tuple)
     _factors = staticmethod(tuple)
-
-    @staticmethod
-    def _index_key(power: int, member: Factors) -> Factors:
-        """The set's index holds every member's factors."""
-        return member
 
     @property
     def size(self) -> int:
@@ -568,141 +534,65 @@ class _CyclingOrbit(Orbit):
         return tuple(untwist[f[0]] for f in self._walk[i:j])
 
 
-class _Conjugators(Mapping):
-    """Read-only {element: z with base^z = element}, in search order.
-
-    An entry is built when it is read, from its orbit's record and the walk
-    conjugators the orbit keeps.
-    """
-
-    __slots__ = ("_start", "_kind", "_index", "_found", "_size")
-
-    def __init__(
-        self,
-        start: GarsideBraid,
-        kind: type[Orbit],
-        index: dict,
-        found: tuple[Orbit, ...],
-        size: int,
-    ) -> None:
-        self._start = start
-        self._kind = kind
-        self._index = index
-        self._found = found
-        self._size = size
-
-    def _locate(self, element: object) -> tuple[Orbit, Member] | None:
-        """The orbit of an element of the set, with the element as a member."""
-        start = self._start
-        if not (
-            isinstance(element, GarsideBraid)
-            and element.power == start.power
-            and len(element.factors) == len(start.factors)
-        ):
-            return None
-        member = self._kind._member(element.factors)
-        orbit = self._index.get(self._kind._index_key(start.power, member))
-        return None if orbit is None else (orbit, member)
-
-    def __getitem__(self, element: GarsideBraid) -> GarsideBraid:
-        found = self._locate(element)
-        if found is None:
-            raise KeyError(element)
-        orbit, member = found
-        return orbit._conjugator(member)
-
-    def __contains__(self, element: object) -> bool:
-        return self._locate(element) is not None
-
-    def _walk(self) -> Iterator[tuple[GarsideBraid, Orbit, Member]]:
-        """Every element, its orbit and its member there, in search order."""
-        p = self._start.power
-        for orbit in self._found:
-            for member in orbit._walk_order():
-                yield GarsideBraid(p, orbit._factors(member)), orbit, member
-
-    def __iter__(self) -> Iterator[GarsideBraid]:
-        return (element for element, _, _ in self._walk())
-
-    def __len__(self) -> int:
-        return self._size
-
-    def items(self) -> ItemsView:
-        return _Entries(self)
-
-    def values(self) -> ValuesView:
-        return _Conjugates(self)
-
-
-class _Entries(ItemsView):
-    """`_Conjugators.items()`, read off the orbits in search order."""
-
-    def __iter__(self) -> Iterator[tuple[GarsideBraid, GarsideBraid]]:
-        return ((y, orbit._conjugator(m)) for y, orbit, m in self._mapping._walk())
-
-
-class _Conjugates(ValuesView):
-    """`_Conjugators.values()`, read off the orbits in search order."""
-
-    def __iter__(self) -> Iterator[GarsideBraid]:
-        return (orbit._conjugator(m) for _, orbit, m in self._mapping._walk())
-
-
 class SCSet(_Record):
     """The sliding circuit set of `base`, with conjugators from `base`.
 
-    conjugators[e] is a braid z with base^z = e, built when it is read; the
-    iteration order of `conjugators` is the search order (representative
-    first).  The set keeps its orbits as factor tuples or bytes, so
-    `elements`, the orbits' `members` and `arrows`, and `conjugators` build
-    their braids when they are read.  `orbits` lists the tau/cycling orbits
-    sorted by representative.
+    `elements` lists the set in search order (representative first), and
+    `conjugators()` maps each element e, in the same order, to a braid z
+    with base^z = e.  The set keeps its orbits as factor tuples or bytes,
+    so both build their braids when they are called, as do the orbits'
+    `members`.  `orbits` lists the tau/cycling orbits sorted by
+    representative.
     `complete` is False when the search stopped early at `stop_at`; `orbits`
     then holds only the orbits closed by that point, and an orbit whose
     arrows were not tested yet has none.  Sets compare by identity.
     """
 
     __slots__ = (
-        "base", "representative", "conjugators", "rigid", "orbits", "complete", "_stop"
+        "base", "representative", "size", "rigid", "orbits", "complete", "_found", "_stop"
     )
 
     def __init__(
         self,
         base: GarsideBraid,
         representative: GarsideBraid,
-        conjugators: Mapping[GarsideBraid, GarsideBraid],
+        size: int,
         rigid: bool,
         orbits: tuple[Orbit, ...],
         complete: bool,
+        _found: tuple[Orbit, ...],
         _stop: Orbit | None = None,
     ) -> None:
         _set(self, "base", base)
         _set(self, "representative", representative)
-        _set(self, "conjugators", conjugators)
+        _set(self, "size", size)
         _set(self, "rigid", rigid)
         _set(self, "orbits", orbits)
         _set(self, "complete", complete)
+        # The orbits in the order the search found them.
+        _set(self, "_found", _found)
         # The orbit that held `stop_at`, when the search stopped there.
         _set(self, "_stop", _stop)
 
+    def _walk(self) -> Iterator[tuple[GarsideBraid, Orbit, Member]]:
+        """Every element, its orbit and its member there, in search order."""
+        p = self.representative.power
+        for orbit in self._found:
+            for member in orbit._walk_order():
+                yield GarsideBraid(p, orbit._factors(member)), orbit, member
+
     @property
     def elements(self) -> tuple[GarsideBraid, ...]:
-        return tuple(self.conjugators)
+        return tuple(element for element, _, _ in self._walk())
 
-    @property
-    def size(self) -> int:
-        return len(self.conjugators)
-
-    def __contains__(self, y: object) -> bool:
-        return y in self.conjugators
-
-    def __iter__(self) -> Iterator[GarsideBraid]:
-        return iter(self.conjugators)
+    def conjugators(self) -> dict[GarsideBraid, GarsideBraid]:
+        """A new dict {element: z with base^z = element}, in search order."""
+        return {element: orbit._conjugator(m) for element, orbit, m in self._walk()}
 
     def _stop_conjugator(self, stop_at: GarsideBraid) -> GarsideBraid | None:
-        """conjugators[stop_at] after a search that stopped at `stop_at`, read
-        off the orbit that held it without a lookup; None after a complete
-        search, which did not meet it."""
+        """The conjugator of `stop_at` after a search that stopped there,
+        read off the orbit that held it; None after a complete search, which
+        did not meet it."""
         orbit = self._stop
         if orbit is None:
             return None
@@ -757,10 +647,11 @@ def compute_sc(
         return SCSet(
             entry.steps[0],
             start,
-            _Conjugators(start, kind, index, tuple(orbits), size),
+            size,
             rigid_class,
             tuple(sorted(orbits, key=lambda o: o._key)),
             stop is None,
+            tuple(orbits),
             stop,
         )
 

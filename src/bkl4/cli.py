@@ -200,7 +200,7 @@ def _json_graph(sc: SCSet) -> dict:
         "edges": [{"source": i, "target": j, "label": name} for i, j, name in edges],
         "conjugators": {
             format_braid(element): format_braid(z)
-            for element, z in sc.conjugators.items()
+            for element, z in sc.conjugators().items()
         },
     }
 

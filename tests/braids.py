@@ -1,9 +1,10 @@
-"""Braids for the tests: random normal forms, the beta family, and the bridge
-to classical Artin generators.
+"""Braids for the tests: random normal forms, rigid braids, the beta family,
+and the bridge to classical Artin generators.
 
 `random_braid` draws a normal form factor by factor from the successor
-table `FOLLOWS`, so it needs no normalization; `beta_braid` parses the
-beta_k word of `bkl4.words.beta_word`.
+table `FOLLOWS`, so it needs no normalization; `rigid_braid` draws until
+one is rigid; `beta_braid` parses the beta_k word of
+`bkl4.words.beta_word`.
 
 `to_artin_letters` spells a signed band-generator word in the classical
 generators (1, 2, 3 meaning sigma1, sigma2, sigma3; negatives are inverses)
@@ -18,8 +19,11 @@ dual one.
 
 from __future__ import annotations
 
-from bkl4.engine import GarsideBraid
+import random
+
+from bkl4.engine import GarsideBraid, braid_from_factors, power
 from bkl4.simples import LEFT_WEIGHTED, PROPER_SIMPLES, SPELLING, Simple
+from bkl4.sliding import is_rigid
 from bkl4.words import beta_word, parse_braid
 
 # FOLLOWS[u]: the proper simples v with u.v left-weighted (all 12 after delta).
@@ -39,6 +43,30 @@ def random_braid(rng, canonical_length: int, inf: int = 0) -> GarsideBraid:
     for _ in range(canonical_length - 1):
         fs.append(rng.choice(FOLLOWS[fs[-1]]))
     return GarsideBraid(inf, tuple(fs))
+
+
+# Factors fixed by tau^2: words over them have symmetric cyclic words.
+_TAU2_FIXED = (Simple.A13, Simple.A24, Simple.P12_34, Simple.P14_23)
+RIGID_KINDS = ("random", "symmetric", "periodic")
+
+
+def rigid_braid(seed: int, kind: str, shift: int, exponent: int) -> GarsideBraid:
+    """The first rigid braid drawn from `seed`: a random normal form, a
+    word over the tau^2-fixed simples or a block of factors repeated, times
+    delta^shift (which changes the twist u = tau^-p of cycling), raised to
+    `exponent` (a power repeats the cyclic word)."""
+    rng = random.Random(seed)
+    while True:
+        length = rng.randrange(1, 9)
+        if kind == "symmetric":
+            factors = tuple(rng.choice(_TAU2_FIXED) for _ in range(length))
+        elif kind == "periodic":
+            factors = random_braid(rng, length % 3 + 1).factors * rng.randrange(2, 4)
+        else:
+            factors = random_braid(rng, length).factors
+        x = power(braid_from_factors(shift, factors), exponent)
+        if x.factors and is_rigid(x):
+            return x
 
 
 def beta_braid(k: int) -> GarsideBraid:

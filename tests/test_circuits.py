@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bkl4.engine
 from bkl4 import circuits
 from bkl4.circuits import (
     CapExceededError,
@@ -27,7 +29,7 @@ from bkl4.engine import (
 )
 from bkl4.simples import ATOMS, COMPLEMENT, DIVISORS, TAU_POWER, WEIGHT, Simple
 from bkl4.sliding import is_rigid, slide_to_circuit
-from braids import beta_braid, random_braid
+from braids import RIGID_KINDS, beta_braid, random_braid, rigid_braid
 from reference_sc import orbit_partition, reference_sc
 
 S, W, N, E, M, A = (
@@ -72,7 +74,7 @@ def test_six_squares_sc_frozen():
     assert sc.size == 6
     assert set(sc.elements) == {GarsideBraid(0, (a, a)) for a in ATOMS}
     assert sc.rigid
-    for element, z in sc.conjugators.items():
+    for element, z in sc.conjugators().items():
         assert conjugate(y, z) == element
     orbits = sc.orbits
     assert [o.size for o in orbits] == [4, 2]
@@ -142,7 +144,7 @@ def test_non_rigid_circuit_sc_frozen():
         for a in atoms:
             expected.add(GarsideBraid(0, (c, a)))
     assert set(sc.elements) == expected
-    for element, z in sc.conjugators.items():
+    for element, z in sc.conjugators().items():
         assert conjugate(GarsideBraid(0, (Simple.C123, S)), z) == element
 
 
@@ -194,9 +196,10 @@ def test_stop_at_early_exit():
     y = GarsideBraid(0, (M, M))
     target = GarsideBraid(0, (W, W))
     sc = compute_sc(y, stop_at=target)
-    assert target in sc
     assert not sc.complete
-    assert conjugate(y, sc.conjugators[target]) == target
+    conjugators = sc.conjugators()
+    assert conjugate(y, conjugators[target]) == target
+    assert sc._stop_conjugator(target) == conjugators[target]
     with pytest.raises(ValueError):
         quotient_graph(sc)
     # A target that seeds no orbit stops the search once its orbit is closed.
@@ -204,7 +207,12 @@ def test_stop_at_early_exit():
     sc = compute_sc(y, stop_at=inner)
     assert not sc.complete
     assert [o.size for o in sc.orbits] == [2] and sc.size == 2
-    assert conjugate(y, sc.conjugators[inner]) == inner
+    assert conjugate(y, sc.conjugators()[inner]) == inner
+    # The search stops only at an element of the set's power: a member's
+    # factors at another power never stop it.
+    shifted = GarsideBraid(1, (W, W))
+    sc = compute_sc(y, stop_at=shifted)
+    assert sc.complete and sc.size == 6 and sc._stop_conjugator(shifted) is None
 
 
 def test_arrows_are_arrows_and_minimal():
@@ -250,50 +258,34 @@ def test_orbit_partition_is_a_partition():
 
 
 def test_orbit_arrows_are_the_representative_arrows():
+    # An orbit keeps the minimal arrows at its representative and the keys
+    # of the orbits their targets lie in.
     sc = compute_sc(beta_braid(2))
     graph = circuit_graph(sc)
+    elements = set(sc.elements)
+    by_key = {orbit._key: orbit for orbit in sc.orbits}
     for orbit in sc.orbits:
         rep = orbit.representative
-        assert orbit.arrows == graph[rep]
-        for s, target in orbit.arrows:
+        assert orbit._labels == tuple(s for s, _ in graph[rep])
+        for (s, target), key in zip(graph[rep], orbit._targets, strict=True):
             assert target == conjugate(rep, braid_from_factors(0, (s,)))
-            assert target in sc
-
-
-def test_conjugators_mapping_is_lazy_and_read_only():
-    y = beta_braid(1)
-    sc = compute_sc(y)
-    assert len(sc.conjugators) == sc.size == 160
-    assert next(iter(sc.conjugators)) == sc.representative
-    assert sc.conjugators.get(GarsideBraid(0, (M, M))) is None
-    with pytest.raises(KeyError):
-        sc.conjugators[GarsideBraid(0, (M, M))]
-    with pytest.raises(TypeError):
-        sc.conjugators[y] = y  # type: ignore[index]
-    # Read in any order, every entry conjugates the base to its element.
-    for element in reversed(sc.elements):
-        assert conjugate(y, sc.conjugators[element]) == element
-    # Membership needs the set's power as well as a member's factors.
-    member = sc.orbits[0].representative
-    shifted = GarsideBraid(member.power + 1, member.factors)
-    assert member in sc and member in sc.orbits[0]
-    assert shifted not in sc and shifted not in sc.conjugators
-    assert shifted not in sc.orbits[0]
-    with pytest.raises(KeyError):
-        sc.conjugators[shifted]
+            assert target in elements
+            assert by_key[key]._holds(bytes(target.factors))
 
 
 def test_conjugator_items_and_values_follow_search_order():
-    # items() and values() walk the orbits instead of looking each element
-    # up again; they agree with reading every element in turn.
+    # conjugators() walks the orbits in the order the search found them,
+    # as `elements` does, from the representative on.
     for x in (beta_braid(1), braid_from_factors(0, [Simple.C123, M, M, W])):
         sc = compute_sc(x)
-        conjugators = sc.conjugators
-        entries = [(e, conjugators[e]) for e in conjugators]
-        assert list(conjugators.items()) == entries
-        assert list(conjugators.values()) == [z for _, z in entries]
-        assert len(conjugators.items()) == len(entries) == sc.size
-        assert entries[-1] in conjugators.items()
+        conjugators = sc.conjugators()
+        assert list(conjugators) == list(sc.elements)
+        assert next(iter(conjugators)) == sc.representative
+        assert len(conjugators) == len(set(sc.elements)) == sc.size
+        for element, z in conjugators.items():
+            assert conjugate(x, z) == element
+        # Each call builds a new dict.
+        assert sc.conjugators() is not conjugators
     assert not sc.rigid and len(sc.orbits) > 1
 
 
@@ -302,25 +294,31 @@ def test_conjugator_items_and_values_follow_search_order():
     [*(beta_braid(k) for k in range(1, 5)), braid_from_factors(0, [Simple.C123, M, M, W])],
 )
 def test_single_lookups_agree_with_iteration(x):
-    # `in` and conjugators[y] find the orbit from y's index key alone (in a
-    # rigid class the least window of y's cyclic word), not from the walk.
+    # The search asks an orbit whether it holds an arrow target (in a rigid
+    # class, a substring search of its haystack); the orbits' answers must
+    # agree with the elements they list.
     sc = compute_sc(x)
-    elements = set()
-    for element, z in sc.conjugators.items():
-        elements.add(element)
-        assert element in sc and sc.conjugators[element] == z
+    kind = type(sc.orbits[0])
+    conjugators = sc.conjugators()
+    elements = set(sc.elements)
+    assert set(conjugators) == elements
+
+    def holders(y):
+        return [o for o in sc.orbits if o._holds(kind._member(y.factors))]
+
+    for element in elements:
+        (orbit,) = holders(element)
+        assert element in orbit.members
     # Normal forms of the set's power and length, drawn until 40 lie
-    # outside it (rigid ones among them), reach the key lookup.
+    # outside it (rigid ones among them), reach the orbits' own tests.
     rng = random.Random(len(elements))
     p, r = sc.representative.power, sc.representative.canonical_length
     outside = 0
     while outside < 40:
         y = random_braid(rng, r, inf=p)
-        assert (y in sc) == (y in elements) == (y in sc.conjugators)
+        assert bool(holders(y)) == (y in elements) == (y in conjugators)
         if y not in elements:
             outside += 1
-            with pytest.raises(KeyError):
-                sc.conjugators[y]
 
 
 def test_arrow_target_with_another_power_is_an_error(monkeypatch):
@@ -341,19 +339,27 @@ def test_arrow_target_with_another_power_is_an_error(monkeypatch):
 
 def test_search_builds_no_braid_per_arrow_candidate(monkeypatch):
     # The arrow tests conjugate raw factor tuples: the search and the circuit
-    # graph never call `conjugate`, and a search builds as many braids for
-    # beta_8 as for beta_2, whatever the number of candidates and orbits.
+    # graph never call `conjugate`, wherever the package holds it, and a
+    # search builds as many braids for beta_8 as for beta_2, whatever the
+    # number of candidates and orbits.
     def forbidden(x, z):
         raise AssertionError("the search conjugated a braid")
 
-    monkeypatch.setattr(circuits, "conjugate", forbidden)
+    holders = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("bkl4") and getattr(module, "conjugate", None) is conjugate
+    ]
+    assert bkl4.engine in holders
+    for module in holders:
+        monkeypatch.setattr(module, "conjugate", forbidden)
     for x in (beta_braid(3), braid_from_factors(0, [Simple.C123, M, M, W])):
         sc = compute_sc(x)
         assert sc.complete and len(sc.orbits) > 1
         circuit_graph(sc)
     target = GarsideBraid(0, (W, W))
     sc = compute_sc(GarsideBraid(0, (M, M)), stop_at=target)
-    assert not sc.complete and target in sc
+    assert not sc.complete and target in sc.elements
 
     bases = [beta_braid(2), beta_braid(8)]
     built = 0
@@ -395,13 +401,13 @@ def test_circuit_graph_matches_per_element_arrows():
         assert list(graph) == list(sc.elements)
         member = circuits._is_rigid
         if not sc.rigid:
-            member = circuits._membership((y.power, y.factors) for y in sc)
+            member = circuits._membership((y.power, y.factors) for y in sc.elements)
         for y, arrows in graph.items():
             expected = tuple(s for s, _ in circuits._arrows(y.power, y.factors, member))
             assert tuple(s for s, _ in arrows) == expected
             for s, target in arrows:
                 assert target == conjugate(y, GarsideBraid(0, (s,)))
-                assert target in sc
+                assert target in graph
     partial = compute_sc(GarsideBraid(0, (M, M)), stop_at=GarsideBraid(0, (W, W)))
     with pytest.raises(ValueError):
         circuit_graph(partial)
@@ -422,7 +428,7 @@ def test_sc_is_a_conjugacy_invariant_with_valid_conjugators(x, w):
     conjugated = compute_sc(conjugate(x, w))
     assert set(conjugated.elements) == set(sc.elements)
     assert [o.members for o in conjugated.orbits] == [o.members for o in sc.orbits]
-    for element, z in conjugated.conjugators.items():
+    for element, z in conjugated.conjugators().items():
         assert conjugate(conjugated.base, z) == element
 
 
@@ -463,7 +469,7 @@ def test_memoized_membership_matches_sliding_walks(seed):
         for s in sorted(candidates):
             t = conjugate(y, GarsideBraid(0, (s,)))
             assert member(t) == (slide_to_circuit(t).cycle_start == 0), (y, s)
-    assert all(member(y) for y in sc)
+    assert all(member(y) for y in sc.elements)
     w = random_braid(random.Random(seed), 3, 0)
     walk = slide_to_circuit(conjugate(x, w)).steps
     for t in walk + walk:
@@ -519,30 +525,6 @@ def test_diagonal_orbits_are_at_most_bivalent():
     assert saw_bivalent  # the bound is attained, so the check is not vacuous
 
 
-# Factors fixed by tau^2: words over them have symmetric cyclic words.
-_TAU2_FIXED = (M, A, Simple.P12_34, Simple.P14_23)
-_RIGID_KINDS = ("random", "symmetric", "periodic")
-
-
-def _rigid_braid(seed: int, kind: str, shift: int, exponent: int) -> GarsideBraid:
-    """The first rigid braid drawn from `seed`: a random normal form, a
-    word over the tau^2-fixed simples or a block of factors repeated, times
-    delta^shift (which changes the twist u = tau^-p of cycling), raised to
-    `exponent` (a power repeats the cyclic word)."""
-    rng = random.Random(seed)
-    while True:
-        length = rng.randrange(1, 9)
-        if kind == "symmetric":
-            factors = tuple(rng.choice(_TAU2_FIXED) for _ in range(length))
-        elif kind == "periodic":
-            factors = random_braid(rng, length % 3 + 1).factors * rng.randrange(2, 4)
-        else:
-            factors = random_braid(rng, length).factors
-        x = power(braid_from_factors(shift, factors), exponent)
-        if x.factors and is_rigid(x):
-            return x
-
-
 def _check_rigid_orbits(x: GarsideBraid) -> set[str]:
     """Check the keyed orbits of SC(x), x rigid, against orbits closed
     element by element.  Returns what the set showed: "small" if some orbit
@@ -555,20 +537,22 @@ def _check_rigid_orbits(x: GarsideBraid) -> set[str]:
     assert [o.members for o in sc.orbits] == reference
     p, r = sc.representative.power, x.canonical_length
     shown = {"twisted"} if p % 4 else set()
+    elements = set(sc.elements)
     for i, orbit in enumerate(sc.orbits):
         members = orbit.members
         assert orbit.size == len(members) == len(set(members))
         assert orbit.representative == members[0]
         for y in members:
-            assert is_rigid(y) and y in sc and y in orbit
+            assert is_rigid(y) and y in elements and orbit._holds(bytes(y.factors))
         # The key is the least of all m*d windows, found by brute force.
         windows = [y.factors for y in reference[i]]
         assert orbit._key == bytes(min(windows))
         least = min(min(w) for w in windows)
         if sum(w[0] == least for w in windows) > 1:
             shown.add("repeat")
-        # Same-length non-members are not in the orbit: the next orbit's
-        # members, and windows that straddle two of the orbit's words.
+        # Same-length non-members are not in the orbit's haystack: the next
+        # orbit's members, and windows that straddle two of the orbit's
+        # words across the byte that joins them.
         straddling = {
             GarsideBraid(p, tuple(map(Simple, (u + v)[len(u) - k : len(u) - k + r])))
             for u in orbit._words
@@ -576,11 +560,11 @@ def _check_rigid_orbits(x: GarsideBraid) -> set[str]:
             for k in range(1, r)
         }
         for y in (*reference[(i + 1) % len(reference)], *straddling):
-            assert (y in orbit) == (y in reference[i])
+            assert orbit._holds(bytes(y.factors)) == (y in reference[i])
         if orbit.size < 4 * r:
             shown.add("small")
-    assert sc.size == sum(o.size for o in sc.orbits) == len(set(sc.elements))
-    for y, z in sc.conjugators.items():
+    assert sc.size == sum(o.size for o in sc.orbits) == len(elements)
+    for y, z in sc.conjugators().items():
         assert conjugate(x, z) == y
     return shown
 
@@ -588,12 +572,12 @@ def _check_rigid_orbits(x: GarsideBraid) -> set[str]:
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    kind=st.sampled_from(_RIGID_KINDS),
+    kind=st.sampled_from(RIGID_KINDS),
     shift=st.integers(-3, 3),
     exponent=st.integers(1, 3),
 )
 def test_rigid_orbit_keys_match_materialized_orbits(seed, kind, shift, exponent):
-    _check_rigid_orbits(_rigid_braid(seed, kind, shift, exponent))
+    _check_rigid_orbits(rigid_braid(seed, kind, shift, exponent))
 
 
 def test_rigid_orbit_keys_on_symmetric_words():
@@ -602,17 +586,17 @@ def test_rigid_orbit_keys_on_symmetric_words():
     # start several members; and twists u = tau^-p other than 1.
     shown: Counter[str] = Counter()
     for seed in range(60):
-        kind = _RIGID_KINDS[seed % 3]
-        x = _rigid_braid(seed, kind, seed % 7 - 3, seed // 3 % 3 + 1)
+        kind = RIGID_KINDS[seed % 3]
+        x = rigid_braid(seed, kind, seed % 7 - 3, seed // 3 % 3 + 1)
         shown.update(_check_rigid_orbits(x))
     assert shown["small"] >= 30
     assert shown["repeat"] >= 20 and shown["twisted"] >= 20
 
 
 def test_sc_sets_hold_no_reference_cycles():
-    # Orbits refer to the orbits their arrows lead to by key, so a search
-    # and its quotient are freed as soon as they are dropped, not at the
-    # next run of the cyclic garbage collector.
+    # Orbits refer to the orbits their arrows lead to by key, so a search,
+    # its quotient and the orbits in search order are freed as soon as they
+    # are dropped, not at the next run of the cyclic garbage collector.
     nonrigid = braid_from_factors(0, [Simple.C123, M, M, W])
     gc.collect()
     gc.disable()
@@ -622,6 +606,7 @@ def test_sc_sets_hold_no_reference_cycles():
             assert len(quotient_graph(sc).orbits) > 1
             for orbit in sc.orbits:
                 orbit.members
+            assert list(sc.conjugators()) == list(sc.elements)
             del sc
             assert gc.collect() == 0
     finally:

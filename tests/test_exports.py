@@ -74,8 +74,8 @@ def test_library_imports_neither_dataclasses_nor_typing():
 def _definitions_and_references():
     """Every module- and class-level definition in the package, as (file,
     name, first line, last line), and every reference, as (file, name, line,
-    loaded): loaded names and attributes have `loaded` True, imported names
-    False."""
+    kind): kind is "name" for a loaded name, "attribute" for a loaded
+    attribute and "import" for an imported name."""
     sources = sorted(Path(bkl4.__file__).parent.glob("*.py"))
     definitions = []
     references = []
@@ -97,11 +97,13 @@ def _definitions_and_references():
                     definitions.append((path.name, name, node.lineno, node.end_lineno))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                references.append((path.name, node.id, node.lineno, True))
+                references.append((path.name, node.id, node.lineno, "name"))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                references.append((path.name, node.attr, node.lineno, True))
+                references.append((path.name, node.attr, node.lineno, "attribute"))
             elif isinstance(node, ast.ImportFrom):
-                references.extend((path.name, a.name, node.lineno, False) for a in node.names)
+                references.extend(
+                    (path.name, a.name, node.lineno, "import") for a in node.names
+                )
     return definitions, references
 
 
@@ -145,9 +147,51 @@ def test_every_public_function_is_used_in_the_library():
     for file, name in public:
         first, last = spans[file, name]
         if not any(
-            n == name and loaded and f != "__init__.py"
+            n == name and kind != "import" and f != "__init__.py"
             and not (f == file and first <= line <= last)
-            for f, n, line, loaded in references
+            for f, n, line, kind in references
         ):
             unused.append(f"{file}:{first} {name}")
+    assert not unused, unused
+
+
+# `Orbit.members` is the only reader of an SC set's partition into orbits,
+# which the tests check against `reference_sc.orbit_partition`.
+_READ_ONLY_BY_TESTS = {("circuits.py", "Orbit", "members")}
+
+
+def test_every_public_method_is_used_in_the_library():
+    # A public method or property of a class that a module exports must be
+    # read as an attribute somewhere in the package outside its own
+    # definition.  Only attribute loads count: a local variable may share a
+    # method's name.  `bkl4.classical` is exempt, as above.
+    _, references = _definitions_and_references()
+    methods = []
+    for module in MODULES:
+        if module.__name__ == "bkl4.classical":
+            continue
+        file = f"{module.__name__.split('.')[1]}.py"
+        exported = {
+            name for name in getattr(module, "__all__", ())
+            if inspect.isclass(vars(module)[name])
+        }
+        tree = ast.parse(Path(module.__file__).read_text(), filename=file)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in exported:
+                methods += [
+                    (file, cls.name, node.name, node.lineno, node.end_lineno)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                ]
+    assert len(methods) > 5
+    unused = [
+        f"{file}:{first} {cls}.{name}"
+        for file, cls, name, first, last in methods
+        if (file, cls, name) not in _READ_ONLY_BY_TESTS
+        and not any(
+            n == name and kind == "attribute"
+            and not (f == file and first <= line <= last)
+            for f, n, line, kind in references
+        )
+    ]
     assert not unused, unused

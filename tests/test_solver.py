@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bkl4.circuits
@@ -32,7 +32,7 @@ from bkl4.solver import (
     verify_certificate,
 )
 from bkl4.words import parse_braid
-from braids import beta_braid, random_braid, to_artin_letters
+from braids import RIGID_KINDS, beta_braid, random_braid, rigid_braid, to_artin_letters
 from reference_sc import reference_sc
 
 S, W, N, E, M, A = (
@@ -308,12 +308,25 @@ def test_periodicity_is_a_conjugacy_invariant(x, w):
     assert is_periodic(conjugate(x, w)) == is_periodic(x)
 
 
+# Rigid braids are drawn directly: a quarter to a third of random normal
+# forms of length 2 to 8 are rigid and no delta power is, so filtering
+# `_braids` can reject most of the draws Hypothesis makes and fail its
+# health check.
+_rigid_braids = st.builds(
+    rigid_braid,
+    st.integers(0, 2**32),
+    st.sampled_from(RIGID_KINDS),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(x=_braids, m=st.integers(1, 4))
+@given(x=_rigid_braids, m=st.integers(1, 4))
 def test_rigid_braids_are_never_periodic(x, m):
     # The m-th power of a rigid braid with r factors is rigid with m r
     # factors, so no power of it is a power of delta.
-    assume(is_rigid(x))
+    assert is_rigid(x)
     xm = power(x, m)
     assert is_rigid(xm)
     assert xm.canonical_length == m * x.canonical_length
@@ -361,10 +374,10 @@ def test_search_decisions_agree_with_the_complete_sc(seed, nonrigid, w, reverse)
     sc = compute_sc(slide_to_circuit(x).representative)
     assert sc.complete
     if not sc.rigid:
-        assert set(sc) == set(reference_sc(x))
+        assert set(sc.elements) == set(reference_sc(x))
     if decision.outcome == CONJUGATE:
         assert verify_certificate(decision.certificate)
     elif decision.reason != "disjoint-SC":
         return
     ry = slide_to_circuit(y).representative
-    assert (ry in sc) == (decision.outcome == CONJUGATE)
+    assert (ry in sc.elements) == (decision.outcome == CONJUGATE)
