@@ -24,12 +24,17 @@ of x, taken here or handed in by the caller), at the shared power:
     d members, d the smallest rotation period of W, and two twists of W
     either are rotations of each other or share no window.  The orbit keeps
     the m twists of W that are not rotations of one another, as bytes, and
-    has m*d members.  Its key is the least window over them (its smallest
-    member); it starts with their least letter, so only windows that start
-    there are compared.  The set is one dict {key: orbit}.  Joined by a
-    byte no simple uses, the words make one haystack for substring search:
-    an arrow target is looked for first in the orbit it leaves and in that
-    orbit's parent, and only the others get a key.
+    has m*d members.  Each twist is cut to the d + r - 1 bytes of W . W
+    where its windows start; m*d is at most 4r, so the orbit takes fewer
+    than 8r bytes.  Its key is the least window over the words (its smallest
+    member).  Every substring of at most r letters of a cut word is a
+    prefix of a window, so the key's prefix grows by the least next letter,
+    each found by substring search, until it starts few windows, and only
+    those are compared (the least-rotation problem of Booth, 1980).  The
+    set is one dict {key: orbit}.  Joined by a byte no simple uses, the
+    words make one haystack for substring search: an arrow target is
+    looked for first in the orbit it leaves and in that orbit's parent, and
+    only the others get a key.
     Members, elements and conjugators read windows off the words: a
     member's position j in the walk is a `bytes.find`.
   * In any other class cycling renormalizes, so an orbit keeps its members'
@@ -140,7 +145,8 @@ Member = bytes | Factors
 # _TWIST[k] translates bytes of simples by tau^k.
 _TWIST = tuple(bytes(row) + bytes(range(len(row), 256)) for row in TAU_POWER)
 _SIMPLES = tuple(Simple)
-_LETTERS = tuple(bytes((s,)) for s in _SIMPLES)  # each simple as one byte
+# The letters of a rigid word, in byte order: each proper simple as one byte.
+_LETTERS = tuple(bytes((s,)) for s in PROPER_SIMPLES)
 
 
 class CapExceededError(RuntimeError):
@@ -362,7 +368,9 @@ class Orbit:
 
 def _cyclic_word(power: int, seed: bytes) -> tuple[bytes, int]:
     """The cyclic word W = f . u(f) . u^2(f) . u^3(f) of a rigid seed f at
-    `power` (u = tau^-power), doubled, and its smallest rotation period."""
+    `power` (u = tau^-power), cut to the first d + r - 1 bytes of W . W,
+    and its smallest rotation period d: the cut holds the length-r windows
+    that start before d, and nothing else."""
     u = -power % 4
     # Spelled out: a generator or a comprehension over range(4) costs about
     # 1 us more per orbit.
@@ -375,19 +383,34 @@ def _cyclic_word(power: int, seed: bytes) -> tuple[bytes, int]:
         ]
     )
     doubled = word + word
-    return doubled, doubled.find(word, 1)
+    d = doubled.find(word, 1)
+    return doubled[: d + len(seed) - 1], d
+
+
+# Narrowing stops once the prefix occurs at most this many times; the
+# windows it starts are then compared.
+_FEW = 16
 
 
 def _least_window(haystack: bytes, r: int, d: int) -> bytes:
     """The least length-r window that starts before d in any word of
-    `haystack` (doubled words joined by 0xFF).  It starts with their least
-    letter, so only windows that start there are compared."""
-    least = next(filter(haystack.__contains__, _LETTERS))
-    windows, j = [], -1
-    for w in haystack.split(b"\xff"):
-        # A failed find leaves j at -1 for the next word.
-        while (j := w.find(least, j + 1, d)) >= 0:
-            windows.append(w[j : j + r])
+    `haystack` (cut words joined by 0xFF, see `_RigidOrbit`).
+
+    Each substring of a word of length r or less is a prefix of a window, so
+    the least window starts with the least letter, then with the least
+    letter that follows it in the haystack, and so on: the prefix grows one
+    letter at a time until it occurs at most `_FEW` times, and the windows
+    that start with it are compared.
+    """
+    prefix = next(filter(haystack.__contains__, _LETTERS))
+    while haystack.count(prefix) > _FEW:
+        # The prefix occurs more than once, so it is shorter than r.
+        prefix = next(filter(haystack.__contains__, map(prefix.__add__, _LETTERS)))
+    windows = []
+    for start in range(0, len(haystack), d + r):  # where each word starts
+        j = start - 1
+        while (j := haystack.find(prefix, j + 1, start + d + len(prefix) - 1)) >= 0:
+            windows.append(haystack[j : j + r])
     return min(windows)
 
 
@@ -396,10 +419,12 @@ class _RigidOrbit(Orbit):
     cyclic word W (see the module docstring); members are bytes of factors.
 
     `_haystack` holds the twists of W that are not rotations of one
-    another, tau^0(W) first, each doubled so that every window is a
-    substring, joined by a byte no simple uses; `_words` splits them.
-    c^j(seed) is the window at position j of the first, for j below the
-    period d of W.  The orbit has d members per word.
+    another, tau^0(W) first, joined by a byte no simple uses; `_words`
+    splits them.  Each is cut to the d + r - 1 bytes of W . W where its
+    length-r windows start, d the period of W, so every length-r substring
+    of a word is a window.  The orbit has d members per word, and m*d is at
+    most 4r, so the m words take m(d + r - 1) < 8r bytes.  c^j(seed) is the
+    window at position j of the first word, for j below d.
     """
 
     __slots__ = ("_haystack", "_period", "size")
@@ -415,13 +440,17 @@ class _RigidOrbit(Orbit):
         seed_conjugator: GarsideBraid | None = None,
     ) -> None:
         super().__init__(power, seed, parent, arrow, seed_conjugator)
-        doubled, self._period = _cyclic_word(power, seed)
-        self._haystack = doubled
-        self.size = self._period
-        for twist in _TWIST[1:]:
-            if not self._holds(seed.translate(twist)):
-                self._haystack += b"\xff" + doubled.translate(twist)
-                self.size += self._period
+        word, self._period = _cyclic_word(power, seed)
+        # If tau(W) is a rotation of W, so are all twists; else if tau^2(W)
+        # is one, tau^3(W) is a rotation of tau(W); else all four differ.
+        if seed.translate(_TWIST[1]) in word:
+            m = 1
+        elif seed.translate(_TWIST[2]) in word:
+            m = 2
+        else:
+            m = 4
+        self._haystack = b"\xff".join([word.translate(t) for t in _TWIST[:m]])
+        self.size = m * self._period
         self._key = _least_window(self._haystack, len(seed), self._period)
 
     @staticmethod
@@ -449,10 +478,10 @@ class _RigidOrbit(Orbit):
 
     def _position(self, member: bytes) -> tuple[int, int]:
         """The smallest (j, k) with tau^k(c^j(seed)) the member."""
-        doubled = self._words[0]
+        word = self._words[0]
         positions = []
         for k, twist in enumerate(_TWIST):
-            j = doubled.translate(twist).find(member)
+            j = word.translate(twist).find(member)
             if j >= 0:
                 positions.append((j, k))
         return min(positions)

@@ -317,7 +317,14 @@ def cmd_beta(args: argparse.Namespace) -> int:
 
 
 def _beta_index(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        # int() refuses a digit string longer than
+        # sys.get_int_max_str_digits(); read one as out of range.
+        if not text.strip().isdecimal():
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = -1
     if not 0 <= value <= MAX_BETA_INDEX:
         raise argparse.ArgumentTypeError(f"must be >= 0 and <= {MAX_BETA_INDEX}")
     return value

@@ -8,11 +8,11 @@ simple elements (Gebhardt and González-Meneses, J. Symb. Comput. 2010).
 conjugation by all 13 nontrivial simples, keeping a conjugate when it is in
 SC by definition: its own sliding walk comes back to it.  Only positive
 simples are needed, so decycling (conjugation by phi(y)^-1) is not followed.
-`orbit_partition` closes a set of elements under tau and cycling, written as
-conjugations by delta and by iota(y), and `reference_quotient` labels an
-edge with the minimal arrows of each orbit's canonical representative: the
-simples s with rep^s in the set that have no other such simple among their
-divisors.
+`reference_orbit` closes an element under tau and cycling, written as
+conjugations by delta and by iota(y), `orbit_partition` splits a set into
+such orbits, and `reference_quotient` labels an edge with the minimal
+arrows of each orbit's canonical representative: the simples s with rep^s
+in the set that have no other such simple among their divisors.
 """
 
 from __future__ import annotations
@@ -65,26 +65,33 @@ def braid_key(b: GarsideBraid) -> tuple[int, tuple[int, ...]]:
     return (b.power, tuple(int(f) for f in b.factors))
 
 
+def reference_orbit(seed: GarsideBraid) -> set[GarsideBraid]:
+    """The orbit of `seed` under tau and cycling: its closure under
+    conjugation of each member y by delta and, when y has factors, by
+    iota(y)."""
+    orbit = {seed}
+    frontier = [seed]
+    while frontier:
+        y = frontier.pop()
+        neighbors = [_by(y, Simple.DELTA)]  # tau(y)
+        if y.factors:  # cycling: y^iota(y), iota(y) = tau^-p(y1)
+            neighbors.append(_by(y, TAU_POWER[-y.power % 4][y.factors[0]]))
+        for neighbor in neighbors:
+            if neighbor not in orbit:
+                orbit.add(neighbor)
+                frontier.append(neighbor)
+    return orbit
+
+
 def orbit_partition(elements) -> list[tuple[GarsideBraid, ...]]:
-    """Orbits under tau and cycling, members sorted canonically, the list
-    sorted by representative (the first member)."""
+    """The orbits of a set closed under tau and cycling, members sorted
+    canonically, the list sorted by representative (the first member)."""
     todo = set(elements)
     orbits = []
     while todo:
-        seed = todo.pop()
-        component = {seed}
-        frontier = [seed]
-        while frontier:
-            y = frontier.pop()
-            neighbors = [_by(y, Simple.DELTA)]  # tau(y)
-            if y.factors:  # cycling: y^iota(y), iota(y) = tau^-p(y1)
-                neighbors.append(_by(y, TAU_POWER[-y.power % 4][y.factors[0]]))
-            for neighbor in neighbors:
-                if neighbor in todo:
-                    todo.remove(neighbor)
-                    component.add(neighbor)
-                    frontier.append(neighbor)
-        orbits.append(tuple(sorted(component, key=braid_key)))
+        orbit = reference_orbit(todo.pop())
+        todo -= orbit
+        orbits.append(tuple(sorted(orbit, key=braid_key)))
     orbits.sort(key=lambda members: braid_key(members[0]))
     return orbits
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -27,10 +28,19 @@ from bkl4.engine import (
     conjugate,
     power,
 )
-from bkl4.simples import ATOMS, COMPLEMENT, DIVISORS, TAU_POWER, WEIGHT, Simple
+from bkl4.simples import (
+    ATOMS,
+    COMPLEMENT,
+    DIVISORS,
+    LEFT_WEIGHTED,
+    PROPER_SIMPLES,
+    TAU_POWER,
+    WEIGHT,
+    Simple,
+)
 from bkl4.sliding import is_rigid, slide_to_circuit
-from braids import RIGID_KINDS, beta_braid, random_braid, rigid_braid
-from reference_sc import orbit_partition, reference_sc
+from braids import FOLLOWS, RIGID_KINDS, beta_braid, random_braid, rigid_braid
+from reference_sc import orbit_partition, reference_orbit, reference_sc
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -591,6 +601,86 @@ def test_rigid_orbit_keys_on_symmetric_words():
         shown.update(_check_rigid_orbits(x))
     assert shown["small"] >= 30
     assert shown["repeat"] >= 20 and shown["twisted"] >= 20
+
+
+def _check_orbit_words(orbit, members) -> int:
+    """Check a rigid orbit's key, size and haystack length against its
+    members; returns its number of words m."""
+    r, d = len(orbit._seed), orbit._period
+    m = orbit._haystack.count(b"\xff") + 1
+    assert orbit._key == bytes(min(y.factors for y in members))
+    assert orbit.size == m * d == len(members)
+    assert len(orbit._haystack) == m * (d + r - 1) + m - 1
+    return m
+
+
+def _rigid_forms(length: int, p: int):
+    """Every rigid left normal form delta^p . x1 ... x_length."""
+    untwist = TAU_POWER[-p % 4]
+    words = [(s,) for s in PROPER_SIMPLES]
+    for _ in range(length - 1):
+        words = [w + (v,) for w in words for v in FOLLOWS[w[-1]]]
+    return [w for w in words if LEFT_WEIGHTED[w[-1]][untwist[w[0]]]]
+
+
+def test_rigid_orbit_keys_on_every_short_rigid_form():
+    # Small scope: every rigid left normal form of canonical length 1..4 at
+    # delta powers 0..3 seeds an orbit whose key is the least of its m*d
+    # members, found by conjugation (`orbit_partition`).  They cover one,
+    # two and four words, and periods d shorter than the length r.
+    shown = set()
+    for p in range(4):
+        for r in range(1, 5):
+            forms = (GarsideBraid(p, factors) for factors in _rigid_forms(r, p))
+            for members in orbit_partition(forms):
+                for y in members:
+                    orbit = circuits._RigidOrbit(p, bytes(y.factors), None, Simple.ONE)
+                    shown.add(_check_orbit_words(orbit, members))
+                    if orbit._period < r:
+                        shown.add("d < r")
+    assert shown == {1, 2, 4, "d < r"}
+
+
+def test_rigid_orbit_keys_on_long_ties():
+    # Seeds (a b c)^n . x: the windows that start at the least letter tie on
+    # up to 3(n - 1) letters, so the key's prefix grows by a dozen letters
+    # or more before it starts few enough windows to compare.  At power 0,
+    # (a b c)^n alone has period 3.
+    shown = set()
+    P, Q = Simple.P12_34, Simple.P14_23
+    for cycle, x in (((S, E, A), P), ((S, M, Q), Q)):
+        for tail in ((x,), ()):
+            seed = cycle * 40 + tail
+            for p in range(4):
+                y = GarsideBraid(p, seed)
+                if not is_rigid(y):
+                    continue
+                orbit = circuits._RigidOrbit(p, bytes(seed), None, Simple.ONE)
+                shown.add(_check_orbit_words(orbit, reference_orbit(y)))
+                if tail:
+                    assert orbit._haystack.count(orbit._key[:12]) > circuits._FEW
+                elif p == 0:
+                    assert orbit._period == 3
+    assert shown == {1, 2, 4}
+
+
+def test_rigid_orbit_words_are_cut_to_their_windows():
+    # Each of an orbit's m words keeps the d + r - 1 bytes where its windows
+    # start: over SC(beta_32) they take 79,086 bytes (317,030 when kept
+    # doubled), and the set retains well under 0.2 MiB.
+    x = beta_braid(32)
+    walk = slide_to_circuit(x)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sc = compute_sc(walk)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(len(orbit._haystack) for orbit in sc.orbits) == 79_086
+    assert retained <= 0.2 * 2**20
 
 
 def test_sc_sets_hold_no_reference_cycles():

@@ -276,10 +276,15 @@ def test_beta_index_bound(capsys):
     code, word, err = run(capsys, "beta", "1665")
     assert code == 0
     assert sum(abs(e) for _, e in parse_word(word.strip())) == 6 * 1665 + 5
-    for k in ("1666", "9" * 4300):
+    # A digit string too long for int() is out of range too, and text that
+    # is no integer reads like argparse's own int type.
+    for k in ("1666", "9" * 4300, "9" * 4301):
         code, out, err = run(capsys, "beta", k)
         assert (code, out) == (2, "")
         assert "<= 1665" in err
+    code, out, err = run(capsys, "beta", "abc")
+    assert (code, out) == (2, "")
+    assert err.endswith("argument k: invalid int value: 'abc'\n")
 
 
 def test_beta_words_feed_nf(capsys):
