@@ -9,7 +9,7 @@ of its elements have the same power of delta and the same canonical length,
 and tau (conjugation by delta) and cycling permute it.  Their orbits
 O(y) = {tau^k(c^j(y))} partition it.  This module computes SC(x) one orbit at
 a time, starting from the circuit representative of x (from the sliding walk
-of x, taken here or handed in by the caller), at the shared power:
+of x), at the shared power:
 
   * Each newly found element seeds an orbit: the cycling walk from the seed
     back to itself and its twists by tau, tau^2 and tau^3.  tau commutes
@@ -75,11 +75,14 @@ representative leads to it and the arrow between them (the search start
 gets its conjugator from its sliding walk).  A member's conjugator is built
 when it is asked for: the seed's conjugator, times the initial factors of
 the first j cycling steps from the seed, times delta^k, for the smallest
-(j, k) with tau^k(c^j(seed)) the member.  So the search doubles as a
-conjugacy-certificate finder (`stop_at`), and `SCSet.conjugators()` builds
-every member's conjugator in search order.  Apart from the sliding walk it
-starts from, the search builds no braid object: a braid is built only for
-an element or a conjugator that is asked for.
+(j, k) with tau^k(c^j(seed)) the member.  One generator, `_orbits`, yields
+the orbits as the search closes them, so the search doubles as a
+conjugacy-certificate finder: the solver stops at the first orbit that
+holds its target, and `compute_sc` reads every orbit, after which
+`SCSet.conjugators()` builds every member's conjugator in search order.
+Apart from the sliding walk it starts from, the search builds no braid
+object: a braid is built only for an element or a conjugator that is asked
+for.
 
 An arrow s at y is *useful* when y^s lies outside O(y).  The quotient graph
 has one vertex per orbit and, for each useful arrow of the orbit's
@@ -342,8 +345,9 @@ class Orbit:
         return multiply(z, GarsideBraid(k)) if k else z
 
     def _walk_conjugator(self, j: int) -> GarsideBraid:
-        """The conjugator of c^j(seed): the nearest one built at or before
-        position j times the initial factors of the steps in between (kept)."""
+        """The conjugator of c^j(seed), kept once built: the one at j - 1 if
+        that is built (as when `SCSet.conjugators()` walks the orbit), else the
+        seed's, times the initial factors of the steps in between."""
         built = self._walk_conjugators
         if not built:
             # Build the seed conjugators down the chain of orbits from the
@@ -359,10 +363,11 @@ class Orbit:
                 orbit._walk_conjugators[0] = multiply(
                     z, GarsideBraid(0, (orbit._arrow,))
                 )
-        i = max(i for i in built if i <= j)
-        z = built[i]
-        if i < j:
-            z = built[j] = braid_from_factors(z.power, z.factors + self._iotas(i, j))
+        z = built.get(j)
+        if z is None:
+            i = j - 1 if j - 1 in built else 0
+            z = built[i]
+            z = built[j] = multiply(z, braid_from_factors(0, self._iotas(i, j)))
         return z
 
 
@@ -571,15 +576,10 @@ class SCSet(_Record):
     with base^z = e.  The set keeps its orbits as factor tuples or bytes,
     so both build their braids when they are called, as do the orbits'
     `members`.  `orbits` lists the tau/cycling orbits sorted by
-    representative.
-    `complete` is False when the search stopped early at `stop_at`; `orbits`
-    then holds only the orbits closed by that point, and an orbit whose
-    arrows were not tested yet has none.  Sets compare by identity.
+    representative.  Sets compare by identity.
     """
 
-    __slots__ = (
-        "base", "representative", "size", "rigid", "orbits", "complete", "_found", "_stop"
-    )
+    __slots__ = ("base", "representative", "size", "rigid", "orbits", "_found")
 
     def __init__(
         self,
@@ -588,20 +588,15 @@ class SCSet(_Record):
         size: int,
         rigid: bool,
         orbits: tuple[Orbit, ...],
-        complete: bool,
         _found: tuple[Orbit, ...],
-        _stop: Orbit | None = None,
     ) -> None:
         _set(self, "base", base)
         _set(self, "representative", representative)
         _set(self, "size", size)
         _set(self, "rigid", rigid)
         _set(self, "orbits", orbits)
-        _set(self, "complete", complete)
         # The orbits in the order the search found them.
         _set(self, "_found", _found)
-        # The orbit that held `stop_at`, when the search stopped there.
-        _set(self, "_stop", _stop)
 
     def _walk(self) -> Iterator[tuple[GarsideBraid, Orbit, Member]]:
         """Every element, its orbit and its member there, in search order."""
@@ -618,83 +613,41 @@ class SCSet(_Record):
         """A new dict {element: z with base^z = element}, in search order."""
         return {element: orbit._conjugator(m) for element, orbit, m in self._walk()}
 
-    def _stop_conjugator(self, stop_at: GarsideBraid) -> GarsideBraid | None:
-        """The conjugator of `stop_at` after a search that stopped there,
-        read off the orbit that held it; None after a complete search, which
-        did not meet it."""
-        orbit = self._stop
-        if orbit is None:
-            return None
-        return orbit._conjugator(orbit._member(stop_at.factors))
 
-
-def compute_sc(
-    x: GarsideBraid | SlidingTrajectory,
-    *,
-    cap: int | None = None,
-    stop_at: GarsideBraid | None = None,
-) -> SCSet:
-    """Compute SC(x) orbit by orbit from its circuit representative.
-
-    `x` is a braid, or the walk `slide_to_circuit` has already taken from
-    one: the set's base is then the walk's start, and the search starts
-    from that walk instead of sliding again.  If `stop_at` is given, the
-    search returns with `complete=False` as soon as the orbit holding that
-    element is closed.  Raises CapExceededError when the set would exceed
-    the cap.
+def _orbits(entry: SlidingTrajectory, cap: int | None) -> Iterator[Orbit]:
+    """The orbits of SC(x), searched from the sliding walk `entry` of x,
+    each yielded as soon as it is closed, in search order; an orbit's arrows
+    are tested after it is yielded.  Raises CapExceededError when the set
+    would exceed the cap.
     """
     cap = resolve_cap(cap)
     if cap == 0:
         raise CapExceededError(cap)  # SC(x) is never empty
-    entry = x if isinstance(x, SlidingTrajectory) else slide_to_circuit(x)
     start = entry.representative
     power = start.power
-    rigid_class = is_rigid(start)
     # {key: orbit} in a rigid class, else {factors of each member: orbit}.
     index: dict = {}
     orbits: list[Orbit] = []  # closed orbits, in the order found
     size = 0
     member = _is_rigid
     kind: type[Orbit] = _RigidOrbit
-    if not rigid_class:
+    if not is_rigid(start):
         c = entry.cycle_start
         member = _membership(
             _raw(entry.steps[c:]), _raw(entry.steps[:c]), power, index
         )
         kind = _CyclingOrbit
-    # stop_at as a member, if it has SC's power and length; None if no
-    # orbit can hold it.
-    wanted = None
-    if (
-        stop_at is not None
-        and stop_at.power == power
-        and len(stop_at.factors) == len(start.factors)
-    ):
-        wanted = kind._member(stop_at.factors)
 
-    def result(stop: Orbit | None) -> SCSet:
-        return SCSet(
-            entry.steps[0],
-            start,
-            size,
-            rigid_class,
-            tuple(sorted(orbits, key=lambda o: o._key)),
-            stop is None,
-            tuple(orbits),
-            stop,
-        )
-
-    def found(orbit: Orbit) -> bool:
-        """Close and record a new orbit; True once stop_at is found."""
+    def close(orbit: Orbit) -> Orbit:
+        """Close and record a new orbit, which gives it its key."""
         nonlocal size
         orbit._close(index, cap - size, cap)
         size += orbit.size
         orbits.append(orbit)
-        return wanted is not None and orbit._holds(wanted)
+        return orbit
 
     seed = kind._member(start.factors)
-    if found(kind(power, seed, None, Simple.ONE, entry.accumulated_conjugator)):
-        return result(orbits[0])
+    yield close(kind(power, seed, None, Simple.ONE, entry.accumulated_conjugator))
     for orbit in orbits:  # grows while the search runs
         arrows = _arrows(power, orbit._factors(orbit._key), member)
         orbit._labels = tuple(s for s, _ in arrows)
@@ -710,28 +663,63 @@ def compute_sc(
             else:
                 new = kind(power, seed, orbit, s)
                 known = new._lookup(index)
-                # found() closes the orbit, which gives it its key.
-                stop = known is None and found(new)
-                orbit._targets.append((new if known is None else known)._key)
-                if stop:
-                    return result(new)
-    return result(None)
+                if known is None:
+                    known = close(new)
+                    yield known
+                orbit._targets.append(known._key)
+
+
+def compute_sc(x: GarsideBraid, *, cap: int | None = None) -> SCSet:
+    """Compute SC(x) orbit by orbit from its circuit representative.
+
+    Raises CapExceededError when the set would exceed the cap.
+    """
+    entry = slide_to_circuit(x)
+    found = tuple(_orbits(entry, cap))
+    start = entry.representative
+    return SCSet(
+        x,
+        start,
+        sum(orbit.size for orbit in found),
+        is_rigid(start),
+        tuple(sorted(found, key=lambda o: o._key)),
+        found,
+    )
+
+
+def _find_conjugator(
+    entry: SlidingTrajectory, y: GarsideBraid, cap: int | None
+) -> GarsideBraid | None:
+    """z with x^z = y, x the start of the sliding walk `entry`, read off the
+    first orbit of SC(x) that holds y; None if SC(x) does not.
+
+    The search stops once that orbit is closed.  It runs to the end for a y
+    with another power or canonical length than SC's, which no orbit holds,
+    so the cap applies as to `compute_sc`.
+    """
+    start = entry.representative
+    fits = y.power == start.power and len(y.factors) == len(start.factors)
+    for orbit in _orbits(entry, cap):
+        if fits and orbit._holds(member := orbit._member(y.factors)):
+            break
+    else:
+        return None
+    # Leaving the loop frees the search's index and membership memo before
+    # the conjugator is built, so that the two do not add up.
+    return orbit._conjugator(member)
 
 
 def circuit_graph(
     sc: SCSet,
 ) -> dict[GarsideBraid, tuple[tuple[Simple, GarsideBraid], ...]]:
-    """The sliding circuit graph of a complete SC set: every element, in
+    """The sliding circuit graph of an SC set: every element, in
     `sc.elements` order, with its minimal arrows and their targets, sorted
     by (weight, canonical index).
 
     Arrows are tested at one element of each tau class; tau is an
     automorphism of the simple lattice that preserves SC, so the arrows at
-    tau^k(y) are the twists of those at y, re-sorted.  Raises ValueError on
-    a search stopped early.
+    tau^k(y) are the twists of those at y, re-sorted.
     """
-    if not sc.complete:
-        raise ValueError("the circuit graph needs a complete SC set")
     elements = sc.elements
     # SC is the union of its sliding circuits.
     member = _is_rigid if sc.rigid else _membership(_raw(elements))
@@ -801,10 +789,8 @@ class QuotientGraph(_Record):
 
 
 def quotient_graph(sc: SCSet) -> QuotientGraph:
-    """The orbit quotient of a fully computed SC set, from its recorded
-    orbits and arrows.  Raises ValueError on a search stopped early."""
-    if not sc.complete:
-        raise ValueError("the quotient graph needs a complete SC set")
+    """The orbit quotient of an SC set, from its recorded orbits and
+    arrows."""
     position = {orbit._key: i for i, orbit in enumerate(sc.orbits)}
     labels: dict[tuple[int, int], set[Simple]] = {}
     for i, orbit in enumerate(sc.orbits):

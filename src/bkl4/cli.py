@@ -260,55 +260,36 @@ def cmd_sc(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The exit code and the text of each outcome of `conj`.
+_CONJ_OUTCOMES = {
+    CONJUGATE: (EXIT_OK, "conjugate"),
+    NOT_CONJUGATE: (EXIT_NOT_CONJUGATE, "not conjugate"),
+    INCONCLUSIVE: (EXIT_CAP, "inconclusive"),
+}
+
+
 def cmd_conj(args: argparse.Namespace) -> int:
     x = _parse(args.x)
     y = _parse(args.y)
     decision = solve_conjugacy(x, y, assume_pa=args.assume_pa, cap=_cap(args.cap))
-    if decision.outcome == CONJUGATE:
+    outcome = decision.outcome
+    if outcome not in _CONJ_OUTCOMES:
+        raise AssertionError(f"internal error: unknown outcome {outcome!r}")
+    code, label = _CONJ_OUTCOMES[outcome]
+    if outcome == CONJUGATE:
         word = format_braid(decision.certificate.z)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        **_invariant_fields(x, decision.periodic),
-                        "outcome": "conjugate",
-                        "certificate": word,
-                    }
-                )
-            )
-        else:
-            print("conjugate")
-            print(f"z = {word}")
-        return EXIT_OK
-    if decision.outcome == NOT_CONJUGATE:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        **_invariant_fields(x, decision.periodic),
-                        "outcome": "not-conjugate",
-                        "reason": decision.reason,
-                    }
-                )
-            )
-        else:
-            print(f"not conjugate ({decision.reason})")
-        return EXIT_NOT_CONJUGATE
-    if decision.outcome != INCONCLUSIVE:
-        raise AssertionError(f"internal error: unknown outcome {decision.outcome!r}")
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    **_invariant_fields(x, decision.periodic),
-                    "outcome": "inconclusive",
-                    "reason": decision.reason,
-                }
-            )
-        )
+        field = {"certificate": word}
+        text = f"{label}\nz = {word}"
     else:
-        print(f"inconclusive ({decision.reason})", file=sys.stderr)
-    return EXIT_CAP
+        field = {"reason": decision.reason}
+        text = f"{label} ({decision.reason})"
+    if args.json:
+        fields = _invariant_fields(x, decision.periodic)
+        print(json.dumps({**fields, "outcome": outcome, **field}))
+    else:
+        # An inconclusive search is not an answer: it goes to stderr.
+        print(text, file=sys.stderr if code == EXIT_CAP else sys.stdout)
+    return code
 
 
 def cmd_beta(args: argparse.Namespace) -> int:

@@ -11,13 +11,14 @@ are, produces a verified certificate z with x = z^-1 y z.  The strategy:
      NotConjugate.  rx and ry are mostly much shorter than the presented
      braids, so periodicity is tested on them.
   2. General path: search SC(x) one tau/cycling orbit at a time from rx,
-     starting from the sliding walk of x that step 1 took, and stopping as
-     soon as the orbit holding ry is closed.  SC is a complete invariant: if
-     the full set is enumerated without meeting it, the braids are not
-     conjugate.  When the class has a rigid conjugate this search tests
-     membership by rigidity alone and is fast; otherwise by memoized
-     sliding walks.  The search's conjugators run from x, so with
-     y^zy = ry and x^g = ry (g read off the orbit that held ry) the
+     starting from the sliding walk of x that step 1 took.  The orbits come
+     from the search behind `compute_sc`, read one at a time, and the
+     search stops as soon as the orbit holding ry is closed.  SC is a
+     complete invariant: if the full set is enumerated without meeting ry,
+     the braids are not conjugate.  When the class has a rigid conjugate
+     this search tests membership by rigidity alone and is fast; otherwise
+     by memoized sliding walks.  The search's conjugators run from x, so
+     with y^zy = ry and x^g = ry (g read off the orbit that held ry) the
      certificate is zy g^-1.
   3. Optional pseudo-Anosov powering path (`assume_pa=True`): find the
      smallest i <= 26 making x^i (resp. y^j) conjugate to a rigid braid,
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 
-from bkl4.circuits import CapExceededError, compute_sc
+from bkl4.circuits import CapExceededError, _find_conjugator
 from bkl4.engine import (
     IDENTITY,
     GarsideBraid,
@@ -145,15 +146,13 @@ def is_periodic(x: GarsideBraid) -> bool:
     return multiply(square, square).canonical_length == 0
 
 
-def power_to_rigid(
-    x: GarsideBraid, *, max_power: int = MAX_RIGID_POWER
-) -> tuple[int, GarsideBraid, GarsideBraid] | None:
-    """Smallest i <= max_power with x^i conjugate to a rigid braid.
+def power_to_rigid(x: GarsideBraid) -> tuple[int, GarsideBraid, GarsideBraid] | None:
+    """Smallest i <= MAX_RIGID_POWER with x^i conjugate to a rigid braid.
 
     Returns (i, z, r) with (x^i)^z = r rigid, or None if no power works
     (x is then not pseudo-Anosov).
     """
-    for i in range(1, max_power + 1):
+    for i in range(1, MAX_RIGID_POWER + 1):
         trajectory = slide_to_circuit(power(x, i))
         if is_rigid(trajectory.representative):
             return i, trajectory.accumulated_conjugator, trajectory.representative
@@ -169,12 +168,10 @@ def _search(
 ) -> SolverDecision:
     """General path: hunt y's circuit representative inside SC(x), from the
     sliding walk of x."""
-    ry = ty.representative
     try:
-        sc = compute_sc(tx, cap=cap, stop_at=ry)
+        g = _find_conjugator(tx, ty.representative, cap)
     except CapExceededError:
         return SolverDecision(INCONCLUSIVE, reason="cap-exceeded")
-    g = sc._stop_conjugator(ry)
     if g is None:
         return SolverDecision(NOT_CONJUGATE, reason="disjoint-SC")
     # x^g = ry = y^zy, so x = y^(zy g^-1).
@@ -231,10 +228,9 @@ def _solve_by_powering(
     xs = conjugate(power(x, s), z1)  # rigid: a power of the rigid conjugate
     ys = conjugate(power(y, s), z2)
     try:
-        sc = compute_sc(ys, cap=cap, stop_at=xs)
+        c = _find_conjugator(slide_to_circuit(ys), xs, cap)
     except CapExceededError:
         return SolverDecision(INCONCLUSIVE, reason="cap-exceeded", path="powering")
-    c = sc._stop_conjugator(xs)
     if c is None:
         # x^s and y^s are not conjugate, hence neither are x and y.
         return SolverDecision(NOT_CONJUGATE, reason="disjoint-SC", path="powering")

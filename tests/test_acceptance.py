@@ -13,7 +13,12 @@ import time
 
 import pytest
 
-from bkl4.circuits import circuit_graph, compute_sc, quotient_graph
+from bkl4.circuits import (
+    _find_conjugator,
+    circuit_graph,
+    compute_sc,
+    quotient_graph,
+)
 from bkl4.classical import classical_is_trivial
 from bkl4.engine import (
     IDENTITY,
@@ -423,27 +428,21 @@ def test_sc_search_matches_reference_on_acceptance_pools(random_sc_pool, beta_sc
 
 
 def test_sc_from_a_sliding_walk_matches_sc_from_its_start(random_sc_pool, beta_sc):
-    # The solver hands compute_sc the sliding walk it has already taken; the
-    # search from that walk must find the set the search from its start does.
+    # The solver searches SC from the sliding walk it has already taken and
+    # stops at the orbit that holds its target: from that walk, each orbit's
+    # representative must get the conjugator the complete set gives it.
     sets = [beta_sc[k][1] for k in range(1, 9)] + list(random_sc_pool)
     sets += [compute_sc(x) for x in _mixed_weight_rigid_braids(100)]
     sets += [compute_sc(_edge_form(r, ks)) for r, ks in _edge_cases()]
     for sc in sets:
-        walked = compute_sc(slide_to_circuit(sc.base))
-        assert (walked.base, walked.representative) == (sc.base, sc.representative)
-        assert (walked.size, walked.rigid, walked.complete) == (sc.size, sc.rigid, True)
-        # Each orbit keeps its representative's minimal arrows and the keys
-        # of the orbits they lead to.
-        assert [
-            (o.representative, o.size, o._labels, o._targets) for o in walked.orbits
-        ] == [(o.representative, o.size, o._labels, o._targets) for o in sc.orbits]
-        assert quotient_graph(walked).edge_labels == quotient_graph(sc).edge_labels
-        conjugators = walked.conjugators()
-        assert list(conjugators.items()) == list(sc.conjugators().items())
+        walk = slide_to_circuit(sc.base)
+        assert walk.representative == sc.representative
+        conjugators = sc.conjugators()
+        representatives = [orbit.representative for orbit in sc.orbits]
+        for y in representatives:
+            assert _find_conjugator(walk, y, None) == conjugators[y]
         # Verifying every conjugator of beta_5..beta_8 takes about 20 s on a
         # 2-core VM; there each orbit's representative is verified.
-        checked = walked.elements
-        if sc.size > 1000:
-            checked = [orbit.representative for orbit in walked.orbits]
+        checked = representatives if sc.size > 1000 else sc.elements
         for element in checked:
-            assert conjugate(walked.base, conjugators[element]) == element
+            assert conjugate(sc.base, conjugators[element]) == element

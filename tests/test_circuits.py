@@ -202,27 +202,37 @@ def test_cap_must_be_a_nonnegative_integer(monkeypatch):
         compute_sc(walk_only, cap=3)
 
 
-def test_stop_at_early_exit():
+def test_find_conjugator_exits_early(monkeypatch):
+    # The solver's search reads the orbits as they are closed and stops at
+    # the first that holds its target, with the conjugator the complete set
+    # gives that target.
     y = GarsideBraid(0, (M, M))
-    target = GarsideBraid(0, (W, W))
-    sc = compute_sc(y, stop_at=target)
-    assert not sc.complete
+    walk = slide_to_circuit(y)
+    sc = compute_sc(y)
     conjugators = sc.conjugators()
-    assert conjugate(y, conjugators[target]) == target
-    assert sc._stop_conjugator(target) == conjugators[target]
-    with pytest.raises(ValueError):
-        quotient_graph(sc)
+    target = GarsideBraid(0, (W, W))
+    z = circuits._find_conjugator(walk, target, None)
+    assert z == conjugators[target] and conjugate(y, z) == target
+    closed = []
+    search = circuits._orbits
+
+    def counting(entry, cap):
+        for orbit in search(entry, cap):
+            closed.append(orbit.size)
+            yield orbit
+
+    monkeypatch.setattr(circuits, "_orbits", counting)
     # A target that seeds no orbit stops the search once its orbit is closed.
     inner = GarsideBraid(0, (A, A))
-    sc = compute_sc(y, stop_at=inner)
-    assert not sc.complete
-    assert [o.size for o in sc.orbits] == [2] and sc.size == 2
-    assert conjugate(y, sc.conjugators()[inner]) == inner
+    z = circuits._find_conjugator(walk, inner, None)
+    assert closed == [2] and z == conjugators[inner]
+    assert conjugate(y, z) == inner
     # The search stops only at an element of the set's power: a member's
-    # factors at another power never stop it.
+    # factors at another power never stop it, and the whole set is searched.
+    closed.clear()
     shifted = GarsideBraid(1, (W, W))
-    sc = compute_sc(y, stop_at=shifted)
-    assert sc.complete and sc.size == 6 and sc._stop_conjugator(shifted) is None
+    assert circuits._find_conjugator(walk, shifted, None) is None
+    assert len(closed) == len(sc.orbits) and sum(closed) == sc.size == 6
 
 
 def test_arrows_are_arrows_and_minimal():
@@ -236,7 +246,6 @@ def test_arrows_are_arrows_and_minimal():
     checked = 0
     for x in bases:
         sc = compute_sc(x)
-        assert sc.complete
         members = set(sc.elements)
         graph = circuit_graph(sc)
         for y in sc.elements:
@@ -365,11 +374,11 @@ def test_search_builds_no_braid_per_arrow_candidate(monkeypatch):
         monkeypatch.setattr(module, "conjugate", forbidden)
     for x in (beta_braid(3), braid_from_factors(0, [Simple.C123, M, M, W])):
         sc = compute_sc(x)
-        assert sc.complete and len(sc.orbits) > 1
+        assert len(sc.orbits) > 1
         circuit_graph(sc)
     target = GarsideBraid(0, (W, W))
-    sc = compute_sc(GarsideBraid(0, (M, M)), stop_at=target)
-    assert not sc.complete and target in sc.elements
+    walk = slide_to_circuit(GarsideBraid(0, (M, M)))
+    assert circuits._find_conjugator(walk, target, None) is not None
 
     bases = [beta_braid(2), beta_braid(8)]
     built = 0
@@ -418,9 +427,6 @@ def test_circuit_graph_matches_per_element_arrows():
             for s, target in arrows:
                 assert target == conjugate(y, GarsideBraid(0, (s,)))
                 assert target in graph
-    partial = compute_sc(GarsideBraid(0, (M, M)), stop_at=GarsideBraid(0, (W, W)))
-    with pytest.raises(ValueError):
-        circuit_graph(partial)
 
 
 _braids = st.builds(
@@ -669,12 +675,11 @@ def test_rigid_orbit_words_are_cut_to_their_windows():
     # start: over SC(beta_32) they take 79,086 bytes (317,030 when kept
     # doubled), and the set retains well under 0.2 MiB.
     x = beta_braid(32)
-    walk = slide_to_circuit(x)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sc = compute_sc(walk)
+        sc = compute_sc(x)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -366,7 +366,7 @@ def test_internal_errors_exit_4(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(bkl4.cli, "compute_sc", out_of_memory)
-    monkeypatch.setattr(bkl4.solver, "compute_sc", out_of_memory)
+    monkeypatch.setattr(bkl4.solver, "_find_conjugator", out_of_memory)
     beta1 = "a34.a23.a12.a13.a14.c124^3.a12^-3"
     for argv in (
         ["sc", "--json", "a13^2"],

@@ -195,3 +195,40 @@ def test_every_public_method_is_used_in_the_library():
         )
     ]
     assert not unused, unused
+
+
+def test_every_keyword_only_parameter_is_passed_in_the_library():
+    # An option that no caller in the package passes is a mode only tests
+    # run: a keyword-only parameter of a function that a module exports must
+    # be passed by keyword somewhere in the package outside that function's
+    # own definition.  `bkl4.classical` is exempt, as above.
+    definitions, _ = _definitions_and_references()
+    spans = {(f, n): (first, last) for f, n, first, last in definitions}
+    passed = set()  # (file, line, called name, keyword)
+    for path in sorted(Path(bkl4.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                for k in node.keywords:
+                    passed.add((path.name, node.lineno, name, k.arg))
+    options = [
+        (f"{module.__name__.split('.')[1]}.py", name, parameter.name)
+        for module in MODULES
+        if module.__name__ != "bkl4.classical"
+        for name in getattr(module, "__all__", ())
+        if inspect.isfunction(vars(module)[name])
+        for parameter in inspect.signature(vars(module)[name]).parameters.values()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    ]
+    assert len(options) >= 3
+    unused = []
+    for file, name, keyword in options:
+        first, last = spans[file, name]
+        if not any(
+            n == name and k == keyword and not (f == file and first <= line <= last)
+            for f, line, n, k in passed
+        ):
+            unused.append(f"{file}:{first} {name}({keyword}=)")
+    assert not unused, unused

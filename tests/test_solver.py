@@ -159,7 +159,6 @@ def test_power_to_rigid():
     assert i == 2
     assert r == GarsideBraid(0, (Simple.C123,) * 3)
     assert conjugate(power(x, 2), z) == r
-    assert power_to_rigid(x, max_power=1) is None
 
 
 def test_assume_pa_agrees_with_general_path():
@@ -372,7 +371,6 @@ def test_search_decisions_agree_with_the_complete_sc(seed, nonrigid, w, reverse)
     y = _reversed(x) if reverse else conjugate(x, w)
     decision = solve_conjugacy(x, y)
     sc = compute_sc(slide_to_circuit(x).representative)
-    assert sc.complete
     if not sc.rigid:
         assert set(sc.elements) == set(reference_sc(x))
     if decision.outcome == CONJUGATE:
