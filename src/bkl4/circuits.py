@@ -23,14 +23,15 @@ of x), at the shared power:
     the one r places before it, so a window fixes all of W: the walk has
     d members, d the smallest rotation period of W, and two twists of W
     either are rotations of each other or share no window.  The orbit keeps
-    the m twists of W that are not rotations of one another, as bytes, and
-    has m*d members.  Each twist is cut to the d + r - 1 bytes of W . W
-    where its windows start; m*d is at most 4r, so the orbit takes fewer
-    than 8r bytes.  Its key is the least window over the words (its smallest
-    member).  Every substring of at most r letters of a cut word is a
-    prefix of a window, so the key's prefix grows by the least next letter,
-    each found by substring search, until it starts few windows, and only
-    those are compared (the least-rotation problem of Booth, 1980).  The
+    the m twists of W that are not rotations of one another, as bytes (a
+    factor is an int below 14, so each byte is one), and has m*d members.
+    Each twist is cut to the d + r - 1 bytes of W . W where its windows
+    start; m*d is at most 4r, so the orbit takes fewer than 8r bytes.  Its
+    key is the least window over the words (its smallest member).  Every
+    substring of at most r letters of a cut word is a prefix of a window,
+    so the key's prefix grows by the least next letter, each found by
+    substring search, until it starts few windows, and only those are
+    compared (the least-rotation problem of Booth, 1980).  The
     set is one dict {key: orbit}.  Joined by a byte no simple uses, the
     words make one haystack for substring search: an arrow target is
     looked for first in the orbit it leaves and in that orbit's parent, and
@@ -42,12 +43,14 @@ of x), at the shared power:
   * An *arrow* at y in SC(x) is a nontrivial simple s with y^s in SC(x); it is
     *minimal* when the only prefixes t of s with y^t in SC(x) are 1 and s.
     Minimal arrows are always prefixes of iota(y) or complement(phi(y)), so
-    the candidate set is tiny; candidates are tested in weight-then-index
-    order, and one with a smaller arrow among its prefixes is skipped.  One
-    kernel, `_arrows`, tests them for the search and `circuit_graph`, on
-    (power, factors) tuples: each candidate s is one
-    conjugation of the factors by s (a left and a right RENORM pass, see
-    `bkl4.engine`), and no braid object is built for it.  If
+    the candidate set is tiny: one table, indexed by that pair of simples,
+    lists the candidates in weight-then-index order, and one with a smaller
+    arrow among its prefixes is skipped.  One kernel, `_arrows`, tests them
+    for the search and `circuit_graph`, on (power, factors) tuples: each
+    candidate s is one conjugation of the factors by s (a left and a right
+    RENORM pass, see `bkl4.engine`), and no braid object is built for it.
+    The candidate iota(y) is not tested: its target is the cycling c(y), one
+    right pass, and cycling maps SC(x) to itself.  If
     some element of SC(x) is rigid, SC(x) is exactly the set of rigid
     conjugates, so membership testing degenerates to a rigidity check on
     the target's factors;
@@ -112,12 +115,14 @@ from bkl4.engine import (
     tau_braid,
 )
 from bkl4.simples import (
+    _DELTA,
+    _ONE,
     COMPLEMENT,
     DIVISORS,
     PROPER_SIMPLES,
+    SIMPLE_NAMES,
     TAU_POWER,
     WEIGHT,
-    Simple,
 )
 from bkl4.sliding import (
     SlidingTrajectory,
@@ -147,7 +152,6 @@ Member = bytes | Factors
 
 # _TWIST[k] translates bytes of simples by tau^k.
 _TWIST = tuple(bytes(row) + bytes(range(len(row), 256)) for row in TAU_POWER)
-_SIMPLES = tuple(Simple)
 # The letters of a rigid word, in byte order: each proper simple as one byte.
 _LETTERS = tuple(bytes((s,)) for s in PROPER_SIMPLES)
 
@@ -182,8 +186,8 @@ def resolve_cap(cap: int | None = None) -> int:
     return cap
 
 
-def _sort_key(s: Simple) -> tuple[int, int]:
-    return (WEIGHT[s], int(s))
+def _sort_key(s: int) -> tuple[int, int]:
+    return (WEIGHT[s], s)
 
 
 def _membership(
@@ -244,40 +248,58 @@ def _raw(braids: Iterable[GarsideBraid]) -> Iterator[tuple[int, Factors]]:
 # comes first.
 _BY_WEIGHT = tuple(sorted(PROPER_SIMPLES, key=_sort_key))
 
+# _CANDIDATES[i][c]: the proper simples that divide i or c, in the order of
+# `_BY_WEIGHT`.  The arrow candidates at y are those of iota(y) and
+# complement(phi(y)).
+_CANDIDATES = tuple(
+    tuple(
+        tuple(s for s in _BY_WEIGHT if s in DIVISORS[i] or s in DIVISORS[c])
+        for c in range(len(DIVISORS))
+    )
+    for i in range(len(DIVISORS))
+)
+
 
 def _arrows(
     power: int, factors: Factors, member: Callable[[int, Factors], bool]
-) -> list[tuple[Simple, Factors]]:
+) -> list[tuple[int, Factors]]:
     """The minimal arrows at y = delta^power . factors, an element of SC(y),
     each with the factors of its target y^s, sorted by (weight, canonical
     index); `member(p, f)` tests delta^p . f for membership in SC(y).
 
     The candidates are the nontrivial prefixes of iota(y) and of
-    complement(phi(y)), and one above an arrow found is skipped.  A target
-    in SC(y) with another power than y's is an error (RuntimeError).
+    complement(phi(y)), and one above an arrow found is skipped.  The
+    candidate iota(y) needs no test: its target is the cycling c(y), and
+    cycling maps SC(y) to itself.  A target in SC(y) with another power
+    than y's is an error (RuntimeError).
     """
     if not factors:
         # Delta powers: y^s = y iff tau^p(s) = s, and SC(y) = {y}.
         twist = TAU_POWER[power % 4]
-        fixed = [s for s in (*_BY_WEIGHT, Simple.DELTA) if twist[s] == s]
+        fixed = [s for s in (*_BY_WEIGHT, _DELTA) if twist[s] == s]
         return [
             (s, factors)
             for s in fixed
-            if not any(t in fixed for t in DIVISORS[s] if t not in (Simple.ONE, s))
+            if not any(t in fixed for t in DIVISORS[s] if t not in (_ONE, s))
         ]
-    head = DIVISORS[TAU_POWER[-power % 4][factors[0]]]  # prefixes of iota(y)
-    tail = DIVISORS[COMPLEMENT[factors[-1]]]  # of complement(phi(y))
-    arrows: list[tuple[Simple, Factors]] = []
-    for s in _BY_WEIGHT:
-        if (s in head or s in tail) and not any(a in DIVISORS[s] for a, _ in arrows):
+    iota = TAU_POWER[-power % 4][factors[0]]
+    arrows: list[tuple[int, Factors]] = []
+    for s in _CANDIDATES[iota][COMPLEMENT[factors[-1]]]:
+        if any(a in DIVISORS[s] for a, _ in arrows):
+            continue
+        if s == iota:
+            extra, target = _cycle_factors(power, factors)
+            p = power + extra
+        else:
             p, target = _conjugate_factors(power, factors, s)
-            if member(p, target):
-                if p != power:
-                    raise RuntimeError(
-                        f"arrow {s!r} at {GarsideBraid(power, factors)!r} leaves "
-                        f"the power of SC: {GarsideBraid(p, target)!r}"
-                    )
-                arrows.append((s, target))
+            if not member(p, target):
+                continue
+        if p != power:
+            raise RuntimeError(
+                f"arrow {SIMPLE_NAMES[s]} at {GarsideBraid(power, factors)!r} "
+                f"leaves the power of SC: {GarsideBraid(p, target)!r}"
+            )
+        arrows.append((s, target))
     return arrows
 
 
@@ -302,17 +324,21 @@ class Orbit:
         "_walk_conjugators",
     )
 
+    # A member's factors: the bytes of a rigid member and the tuple of any
+    # other are both its ints.
+    _factors = staticmethod(tuple)
+
     def __init__(
         self,
         power: int,
         seed: Member,
         parent: Orbit | None,
-        arrow: Simple,
+        arrow: int,
         seed_conjugator: GarsideBraid | None = None,
     ) -> None:
         # The minimal arrows at the representative, in (weight, canonical
         # index) order.
-        self._labels: tuple[Simple, ...] = ()
+        self._labels: tuple[int, ...] = ()
         # The key of the orbit each arrow leads to, in the order of `_labels`.
         # Keys, not orbits: a reference to an orbit would close a cycle
         # (to itself or back to the parent), and orbits in cycles outlive
@@ -441,7 +467,7 @@ class _RigidOrbit(Orbit):
         power: int,
         seed: bytes,
         parent: Orbit | None,
-        arrow: Simple,
+        arrow: int,
         seed_conjugator: GarsideBraid | None = None,
     ) -> None:
         super().__init__(power, seed, parent, arrow, seed_conjugator)
@@ -457,10 +483,6 @@ class _RigidOrbit(Orbit):
         self._haystack = b"\xff".join([word.translate(t) for t in _TWIST[:m]])
         self.size = m * self._period
         self._key = _least_window(self._haystack, len(seed), self._period)
-
-    @staticmethod
-    def _factors(member: bytes) -> Factors:
-        return tuple(map(_SIMPLES.__getitem__, member))
 
     @property
     def _words(self) -> list[bytes]:
@@ -505,7 +527,6 @@ class _CyclingOrbit(Orbit):
     __slots__ = ("_members", "_walk", "_steps")
 
     _member = staticmethod(tuple)
-    _factors = staticmethod(tuple)
 
     @property
     def size(self) -> int:
@@ -647,7 +668,7 @@ def _orbits(entry: SlidingTrajectory, cap: int | None) -> Iterator[Orbit]:
         return orbit
 
     seed = kind._member(start.factors)
-    yield close(kind(power, seed, None, Simple.ONE, entry.accumulated_conjugator))
+    yield close(kind(power, seed, None, _ONE, entry.accumulated_conjugator))
     for orbit in orbits:  # grows while the search runs
         arrows = _arrows(power, orbit._factors(orbit._key), member)
         orbit._labels = tuple(s for s, _ in arrows)
@@ -711,7 +732,7 @@ def _find_conjugator(
 
 def circuit_graph(
     sc: SCSet,
-) -> dict[GarsideBraid, tuple[tuple[Simple, GarsideBraid], ...]]:
+) -> dict[GarsideBraid, tuple[tuple[int, GarsideBraid], ...]]:
     """The sliding circuit graph of an SC set: every element, in
     `sc.elements` order, with its minimal arrows and their targets, sorted
     by (weight, canonical index).
@@ -723,7 +744,7 @@ def circuit_graph(
     elements = sc.elements
     # SC is the union of its sliding circuits.
     member = _is_rigid if sc.rigid else _membership(_raw(elements))
-    arrows_at: dict[GarsideBraid, tuple[tuple[Simple, GarsideBraid], ...]] = {}
+    arrows_at: dict[GarsideBraid, tuple[tuple[int, GarsideBraid], ...]] = {}
     for y in elements:
         if y in arrows_at:
             continue
@@ -756,7 +777,7 @@ class QuotientGraph(_Record):
         self,
         orbits: tuple[Orbit, ...],
         edges: tuple[tuple[int, int], ...],
-        edge_labels: dict[tuple[int, int], tuple[Simple, ...]],
+        edge_labels: dict[tuple[int, int], tuple[int, ...]],
     ) -> None:
         _set(self, "orbits", orbits)
         _set(self, "edges", edges)
@@ -792,7 +813,7 @@ def quotient_graph(sc: SCSet) -> QuotientGraph:
     """The orbit quotient of an SC set, from its recorded orbits and
     arrows."""
     position = {orbit._key: i for i, orbit in enumerate(sc.orbits)}
-    labels: dict[tuple[int, int], set[Simple]] = {}
+    labels: dict[tuple[int, int], set[int]] = {}
     for i, orbit in enumerate(sc.orbits):
         for s, target in zip(orbit._labels, orbit._targets):
             j = position[target]

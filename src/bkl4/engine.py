@@ -8,7 +8,8 @@ A braid is stored as its left normal form
 where p is an integer (the infimum), each xi is a proper simple (not 1, not
 delta), and every adjacent pair is left-weighted: meet(complement(xi), x_{i+1})
 = 1.  Two braids are equal exactly when their (power, factors) agree, so
-braid equality decides the word problem.
+braid equality decides the word problem.  A factor is a plain int, the value
+of its `Simple` member, as the tables of `bkl4.simples` hold it.
 
 Normalization is local: one renorm step on a factor pair (u, v) replaces it by
 (u*t, t^-1 v) with t = meet(complement(u), v), which also bubbles delta
@@ -25,7 +26,10 @@ braid groups*, 1998):
                     after xi's slot and carries s on; s is put out first.
 
 A step that changes nothing (t = 1) meets a pair of the input, which is
-normal, so the pass stops there.  Leading deltas then join the power and
+normal, so the pass stops there.  It tests that with `is` on the factor the
+step hands back, which holds because CPython keeps one object for each
+small int (a `Simple` member is another object).  Leading deltas then join
+the power and
 trailing 1s go.  Every normal form is built from these passes.  A one-factor
 braid times x is one left pass; any other list of factors is appended to a
 normal list one factor at a time, with a right pass after each, so
@@ -34,7 +38,8 @@ tau-twisted factors of the left side by those of the right.  `conjugate` by
 one simple s is delta^(p-1) . (tau^(p-1)(complement(s)) . x) . s for
 x = delta^p . x1 ... xr: a left pass, then a right pass on its list.
 
-Signed input letters are folded in with two identities:
+Signed input letters are folded in with two identities, in one pass over
+the letters from the right that carries the delta exponent to the front:
 
     f . delta^e = delta^e . tau^e(f)          (delta migration)
     s^-1 = delta^-1 . tau^-1(complement(s))   (inverse letters)
@@ -52,12 +57,13 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from bkl4.simples import (
+    _DELTA,
+    _ONE,
     COMPLEMENT,
     RENORM,
     SIMPLE_NAMES,
     TAU_POWER,
     WEIGHT,
-    Simple,
 )
 
 __all__ = [
@@ -115,9 +121,9 @@ class GarsideBraid(_Record):
     __slots__ = ("power", "factors")
 
     power: int
-    factors: tuple[Simple, ...]
+    factors: tuple[int, ...]
 
-    def __init__(self, power: int = 0, factors: tuple[Simple, ...] = ()) -> None:
+    def __init__(self, power: int = 0, factors: tuple[int, ...] = ()) -> None:
         _set_power(self, power)
         _set_factors(self, factors)
 
@@ -144,10 +150,8 @@ _set_power = GarsideBraid.power.__set__
 _set_factors = GarsideBraid.factors.__set__
 
 IDENTITY = GarsideBraid()
-Factors = tuple[Simple, ...]
-# Reading an enum member costs about 0.1 us (Python 3.11): the steps that end
-# every pass or slide read these instead.
-_ONE, _DELTA = Simple.ONE, Simple.DELTA
+# Factors are plain ints, the values of `Simple` (see `bkl4.simples`).
+Factors = tuple[int, ...]
 
 
 Invariants = namedtuple(
@@ -156,18 +160,18 @@ Invariants = namedtuple(
 Invariants.__doc__ = "Summit-style invariants of a normal form."
 
 
-def normalize_factors(raw: Sequence[Simple]) -> tuple[int, tuple[Simple, ...]]:
+def normalize_factors(raw: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Left-normalize a factor list; returns (delta count, proper factors).
 
     Accepts any mix of simples including 1 and delta.  The result's factors
     are proper and pairwise left-weighted.
     """
-    fs: list[Simple] = []
+    fs: list[int] = []
     _extend(fs, raw)
     return _finish(fs)
 
 
-def _left_pass(fs: list[Simple], end: int) -> None:
+def _left_pass(fs: list[int], end: int) -> None:
     """fs[0] . fs[1:end] in place, for normal fs[1:end] (see the module
     docstring); leading deltas and trailing 1s are left in place."""
     renorm = RENORM
@@ -181,7 +185,7 @@ def _left_pass(fs: list[Simple], end: int) -> None:
     fs[end - 1] = s
 
 
-def _right_pass(fs: list[Simple]) -> None:
+def _right_pass(fs: list[int]) -> None:
     """fs[:-1] . fs[-1] in place, for normal fs[:-1] (see the module
     docstring); leading deltas and trailing 1s are left in place."""
     renorm = RENORM
@@ -196,7 +200,7 @@ def _right_pass(fs: list[Simple]) -> None:
     fs[0] = s
 
 
-def _extend(fs: list[Simple], factors: Iterable[Simple]) -> None:
+def _extend(fs: list[int], factors: Iterable[int]) -> None:
     """fs . factors in place, one right pass per factor, for fs normal up to
     leading deltas and trailing 1s (as a pass leaves it)."""
     for f in factors:
@@ -204,7 +208,7 @@ def _extend(fs: list[Simple], factors: Iterable[Simple]) -> None:
         _right_pass(fs)
 
 
-def _finish(fs: list[Simple]) -> tuple[int, tuple[Simple, ...]]:
+def _finish(fs: list[int]) -> tuple[int, tuple[int, ...]]:
     """The delta count and proper factors of a pass's list, which it
     consumes: leading deltas are counted and trailing 1s dropped."""
     end = len(fs)
@@ -219,43 +223,34 @@ def _finish(fs: list[Simple]) -> tuple[int, tuple[Simple, ...]]:
     return p, tuple(fs)
 
 
-def braid_from_factors(power: int, factors: Iterable[Simple]) -> GarsideBraid:
+def braid_from_factors(power: int, factors: Iterable[int]) -> GarsideBraid:
     """Build delta**power times the given (not necessarily normal) factors."""
     extra, fs = normalize_factors(tuple(factors))
     return GarsideBraid(power + extra, fs)
 
 
-def braid_from_letters(letters: Iterable[tuple[Simple, int]]) -> GarsideBraid:
+def braid_from_letters(letters: Iterable[tuple[int, int]]) -> GarsideBraid:
     """Normalize a signed word: an iterable of (simple, exponent) letters.
 
     Exponents may be any integers; delta letters contribute to the power,
     inverse letters expand via s^-1 = delta^-1 . tau^-1(complement(s)).
     """
-    # entries: flat stream where an int means a delta exponent and a Simple
-    # means a positive proper factor.
-    entries: list[int | Simple] = []
-    for s, e in letters:
+    # Read from the right, carrying the delta exponent c to the front:
+    # passing delta^c right-to-left over a factor twists it by tau^c.
+    carry = 0
+    twisted: list[int] = []
+    for s, e in reversed(list(letters)):
         if e == 0 or s == _ONE:
             continue
         if s == _DELTA:
-            entries.append(e)
+            carry += e
         elif e > 0:
-            entries.extend([s] * e)
+            twisted.extend([TAU_POWER[carry % 4][s]] * e)
         else:
             inv = TAU_POWER[3][COMPLEMENT[s]]
             for _ in range(-e):
-                entries.append(-1)
-                entries.append(inv)
-    # Migrate every delta exponent to the front: passing delta^c right-to-left
-    # over a factor twists it by tau^c.
-    carry = 0
-    twisted: list[Simple] = []
-    for entry in reversed(entries):
-        # Simple is an IntEnum, so check the class, not isinstance(entry, int).
-        if entry.__class__ is Simple:
-            twisted.append(TAU_POWER[carry % 4][entry])
-        else:
-            carry += entry
+                twisted.append(TAU_POWER[carry % 4][inv])
+                carry -= 1
     twisted.reverse()
     extra, fs = normalize_factors(twisted)
     return GarsideBraid(carry + extra, fs)
@@ -314,7 +309,7 @@ def conjugate(x: GarsideBraid, z: GarsideBraid) -> GarsideBraid:
     return multiply(multiply(invert(z), x), z)
 
 
-def _conjugate_factors(p: int, factors: Factors, s: Simple) -> tuple[int, Factors]:
+def _conjugate_factors(p: int, factors: Factors, s: int) -> tuple[int, Factors]:
     """x^s for x = delta^p . factors, as its power and factors:
     delta^(p-1) . (tau^(p-1)(complement(s)) . x1 ... xr) . s, a left pass,
     then a right pass on the same list."""
@@ -335,8 +330,9 @@ def invariants(x: GarsideBraid) -> Invariants:
     """Conjugacy-search bookkeeping: inf, sup, lengths and the weight data."""
     p = x.power
     r = len(x.factors)
-    k1 = sum(1 for f in x.factors if WEIGHT[f] == 1)
-    k2 = r - k1
+    # A proper factor weighs 1 or 2, so the weights sum to r + k2.
+    k2 = sum(map(WEIGHT.__getitem__, x.factors)) - r
+    k1 = r - k2
     if p >= 0:
         word_length = p + r
     elif -p <= r:

@@ -25,8 +25,14 @@ divisors of delta -- the simple elements -- are exactly
 All relations are length-preserving, so the letter count of a positive word is
 an invariant, the weight: lambda(atom) = 1, lambda(delta) = 3.
 
-Everything this module exports is a precomputed table over those 14 values,
-indexed by `Simple` (an IntEnum):
+`Simple`, an IntEnum, names the 14 values 0..13 in canonical order.  The
+tables below hold plain ints equal to the members, as the bootstrap builds
+them, and every other module computes on those ints: a braid's factors are
+ints.  CPython's specialized tuple subscript takes only exact ints, so a table
+indexed by an int reads in about half the time it takes with a member (Python
+3.11), and the passes' `is` exits (see `bkl4.engine`) fire on the ints the
+tables hand back.  A member passed in compares, hashes and indexes as its
+value.  The tables, indexed by simples:
 
     SIMPLE_NAMES[s]      the canonical name: '1', 'a12', ..., 'delta'
     SPELLING[s]          the canonical atom word of s, of length WEIGHT[s]
@@ -100,9 +106,10 @@ class Simple(IntEnum):
     DELTA = 13
 
 
-# The simples in canonical order.  The bootstrap and the self-check loop over
-# this tuple: iterating the enum costs about 4 us a pass (Python 3.11).
-_SIMPLES: tuple[Simple, ...] = tuple(Simple)
+# The simples as plain ints, in canonical order.  The bootstrap builds every
+# table from these, so the tables hold ints from the start.
+_SIMPLES: tuple[int, ...] = tuple(range(len(Simple)))
+_ONE, _DELTA = Simple.ONE.value, Simple.DELTA.value
 
 SIMPLE_NAMES: tuple[str, ...] = (
     "1",
@@ -121,49 +128,43 @@ SIMPLE_NAMES: tuple[str, ...] = (
     "delta",
 )
 
-ATOMS: tuple[Simple, ...] = (
-    Simple.A12,
-    Simple.A23,
-    Simple.A34,
-    Simple.A14,
-    Simple.A13,
-    Simple.A24,
+# S=a12, W=a23, N=a34, E=a14, M=a13, A=a24.
+ATOMS: tuple[int, ...] = (
+    Simple.A12.value,
+    Simple.A23.value,
+    Simple.A34.value,
+    Simple.A14.value,
+    Simple.A13.value,
+    Simple.A24.value,
+)
+_S, _W, _N, _E, _M, _A = ATOMS
+
+PROPER_SIMPLES: tuple[int, ...] = tuple(
+    s for s in _SIMPLES if s not in (_ONE, _DELTA)
 )
 
-PROPER_SIMPLES: tuple[Simple, ...] = tuple(
-    s for s in _SIMPLES if s not in (Simple.ONE, Simple.DELTA)
+_WEIGHT2: tuple[int, ...] = (
+    Simple.C123.value,
+    Simple.C124.value,
+    Simple.C134.value,
+    Simple.C234.value,
+    Simple.P12_34.value,
+    Simple.P14_23.value,
 )
-
-_WEIGHT2: tuple[Simple, ...] = (
-    Simple.C123,
-    Simple.C124,
-    Simple.C134,
-    Simple.C234,
-    Simple.P12_34,
-    Simple.P14_23,
-)
+_C123, _C124, _C134, _C234, _P12_34, _P14_23 = _WEIGHT2
 
 # The six relation cells: for each weight-2 simple, every two-letter atom word
-# spelling it. S=a12, W=a23, N=a34, E=a14, M=a13, A=a24.
-_S, _W, _N, _E, _M, _A = (
-    Simple.A12,
-    Simple.A23,
-    Simple.A34,
-    Simple.A14,
-    Simple.A13,
-    Simple.A24,
-)
-
-_RELATION_CELLS: dict[Simple, tuple[tuple[Simple, Simple], ...]] = {
-    Simple.C123: ((_S, _W), (_W, _M), (_M, _S)),
-    Simple.C234: ((_W, _N), (_N, _A), (_A, _W)),
-    Simple.C134: ((_N, _E), (_E, _M), (_M, _N)),
-    Simple.C124: ((_E, _S), (_S, _A), (_A, _E)),
-    Simple.P12_34: ((_N, _S), (_S, _N)),
-    Simple.P14_23: ((_E, _W), (_W, _E)),
+# spelling it.
+_RELATION_CELLS: dict[int, tuple[tuple[int, int], ...]] = {
+    _C123: ((_S, _W), (_W, _M), (_M, _S)),
+    _C234: ((_W, _N), (_N, _A), (_A, _W)),
+    _C134: ((_N, _E), (_E, _M), (_M, _N)),
+    _C124: ((_E, _S), (_S, _A), (_A, _E)),
+    _P12_34: ((_N, _S), (_S, _N)),
+    _P14_23: ((_E, _W), (_W, _E)),
 }
 
-_DELTA_WORD: tuple[Simple, ...] = (_S, _W, _N)  # delta = a12.a23.a34
+_DELTA_WORD: tuple[int, ...] = (_S, _W, _N)  # delta = a12.a23.a34
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +174,9 @@ _DELTA_WORD: tuple[Simple, ...] = (_S, _W, _N)  # delta = a12.a23.a34
 
 
 def _close_word_class(
-    word: tuple[Simple, ...],
-    rewrites: dict[tuple[Simple, Simple], tuple[tuple[Simple, Simple], ...]],
-) -> frozenset[tuple[Simple, ...]]:
+    word: tuple[int, ...],
+    rewrites: dict[tuple[int, int], tuple[tuple[int, int], ...]],
+) -> frozenset[tuple[int, ...]]:
     """All positive atom words equal to `word` under the relation cells,
     given as {two-letter word: the other words of its cell}."""
     seen = {word}
@@ -193,12 +194,12 @@ def _close_word_class(
 
 def _bootstrap() -> dict[str, tuple]:
     # One defining word per simple; its closure is the simple's word class.
-    defining_word: dict[Simple, tuple[Simple, ...]] = {Simple.ONE: ()}
+    defining_word: dict[int, tuple[int, ...]] = {_ONE: ()}
     for atom in ATOMS:
         defining_word[atom] = (atom,)
     for two, cell in _RELATION_CELLS.items():
         defining_word[two] = cell[0]
-    defining_word[Simple.DELTA] = _DELTA_WORD
+    defining_word[_DELTA] = _DELTA_WORD
 
     rewrites = {
         pair: tuple(other for other in cell if other != pair)
@@ -212,7 +213,7 @@ def _bootstrap() -> dict[str, tuple]:
     for a, b in itertools.combinations(_SIMPLES, 2):
         if not word_class[a].isdisjoint(word_class[b]):
             raise RuntimeError(f"{a!r} and {b!r} share a spelling")
-    if len(word_class[Simple.DELTA]) != 16:
+    if len(word_class[_DELTA]) != 16:
         raise RuntimeError("delta does not have 16 spellings")
 
     weight_table = tuple(len(defining_word[s]) for s in _SIMPLES)
@@ -220,12 +221,12 @@ def _bootstrap() -> dict[str, tuple]:
     # Each word class is closed under the relations, so a word spells the
     # simple whose class holds it, and a word in no class spells no simple.
     spelled = {w: s for s in _SIMPLES for w in word_class[s]}
-    compose: list[list[Simple | None]] = [
+    compose: list[list[int | None]] = [
         [spelled.get(defining_word[a] + defining_word[b]) for b in _SIMPLES]
         for a in _SIMPLES
     ]
 
-    divisors_table: list[frozenset[Simple]] = []
+    divisors_table: list[frozenset[int]] = []
     for s in _SIMPLES:
         divs = {
             t
@@ -236,10 +237,10 @@ def _bootstrap() -> dict[str, tuple]:
             )
         }
         divisors_table.append(frozenset(divs))
-    if divisors_table[Simple.DELTA] != frozenset(_SIMPLES):
+    if divisors_table[_DELTA] != frozenset(_SIMPLES):
         raise RuntimeError("some simple does not divide delta")
 
-    meet_table: list[list[Simple]] = [[Simple.ONE] * 14 for _ in range(14)]
+    meet_table: list[list[int]] = [[_ONE] * 14 for _ in range(14)]
     for a, b in itertools.product(_SIMPLES, _SIMPLES):
         common = divisors_table[a] & divisors_table[b]
         top_weight = max(weight_table[t] for t in common)
@@ -248,16 +249,16 @@ def _bootstrap() -> dict[str, tuple]:
             raise RuntimeError(f"meet({a!r}, {b!r}) is not unique: {tops}")
         meet_table[a][b] = tops[0]
 
-    complement_table: list[Simple] = []
+    complement_table: list[int] = []
     for s in _SIMPLES:
-        comps = [t for t in _SIMPLES if compose[s][t] == Simple.DELTA]
+        comps = [t for t in _SIMPLES if compose[s][t] == _DELTA]
         if len(comps) != 1:
             raise RuntimeError(f"complement({s!r}) is not unique: {comps}")
         complement_table.append(comps[0])
 
     tau_table = tuple(complement_table[complement_table[s]] for s in _SIMPLES)
 
-    lquot_table: list[list[Simple | None]] = [[None] * 14 for _ in range(14)]
+    lquot_table: list[list[int | None]] = [[None] * 14 for _ in range(14)]
     for t, v in itertools.product(_SIMPLES, _SIMPLES):
         if t not in divisors_table[v]:
             continue
@@ -267,7 +268,7 @@ def _bootstrap() -> dict[str, tuple]:
         lquot_table[t][v] = quotients[0]
 
     left_weighted_table = tuple(
-        tuple(meet_table[complement_table[a]][b] == Simple.ONE for b in _SIMPLES)
+        tuple(meet_table[complement_table[a]][b] == _ONE for b in _SIMPLES)
         for a in _SIMPLES
     )
 
@@ -276,7 +277,7 @@ def _bootstrap() -> dict[str, tuple]:
     # fixed points are the locally normal pairs. By construction this also
     # bubbles delta factors to the front ((u, delta) -> (delta, tau(u))) and
     # trivial factors to the back ((1, v) -> (v, 1)).
-    renorm_table: list[list[tuple[Simple, Simple]]] = []
+    renorm_table: list[list[tuple[int, int]]] = []
     for u in _SIMPLES:
         row = []
         for v in _SIMPLES:
@@ -308,16 +309,16 @@ def _bootstrap() -> dict[str, tuple]:
 
 _TABLES = _bootstrap()
 
-SPELLING: tuple[tuple[Simple, ...], ...] = _TABLES["SPELLING"]
+SPELLING: tuple[tuple[int, ...], ...] = _TABLES["SPELLING"]
 WEIGHT: tuple[int, ...] = _TABLES["WEIGHT"]
-COMPLEMENT: tuple[Simple, ...] = _TABLES["COMPLEMENT"]
-TAU_POWER: tuple[tuple[Simple, ...], ...] = _TABLES["TAU_POWER"]
-DIVISORS: tuple[frozenset[Simple], ...] = _TABLES["DIVISORS"]
-MEET: tuple[tuple[Simple, ...], ...] = _TABLES["MEET"]
-COMPOSE: tuple[tuple[Simple | None, ...], ...] = _TABLES["COMPOSE"]
-LQUOT: tuple[tuple[Simple | None, ...], ...] = _TABLES["LQUOT"]
+COMPLEMENT: tuple[int, ...] = _TABLES["COMPLEMENT"]
+TAU_POWER: tuple[tuple[int, ...], ...] = _TABLES["TAU_POWER"]
+DIVISORS: tuple[frozenset[int], ...] = _TABLES["DIVISORS"]
+MEET: tuple[tuple[int, ...], ...] = _TABLES["MEET"]
+COMPOSE: tuple[tuple[int | None, ...], ...] = _TABLES["COMPOSE"]
+LQUOT: tuple[tuple[int | None, ...], ...] = _TABLES["LQUOT"]
 LEFT_WEIGHTED: tuple[tuple[bool, ...], ...] = _TABLES["LEFT_WEIGHTED"]
-RENORM: tuple[tuple[tuple[Simple, Simple], ...], ...] = _TABLES["RENORM"]
+RENORM: tuple[tuple[tuple[int, int], ...], ...] = _TABLES["RENORM"]
 
 del _TABLES
 
@@ -328,7 +329,7 @@ del _TABLES
 
 # The expected tau cycles: a quarter turn of the square.
 _TAU_CYCLES = (
-    (_S, _E, _N, _W), (_M, _A), _WEIGHT2[:4], _WEIGHT2[4:], (Simple.ONE,), (Simple.DELTA,)
+    (_S, _E, _N, _W), (_M, _A), _WEIGHT2[:4], _WEIGHT2[4:], (_ONE,), (_DELTA,)
 )
 
 
@@ -346,11 +347,11 @@ def self_check() -> None:
             WEIGHT[s] + WEIGHT[COMPLEMENT[s]] == 3 for s in _SIMPLES
         ),
         "s * complement(s) = delta": all(
-            COMPOSE[s][COMPLEMENT[s]] == Simple.DELTA for s in _SIMPLES
+            COMPOSE[s][COMPLEMENT[s]] == _DELTA for s in _SIMPLES
         ),
         "weight(tau(s)) = weight(s)": all(WEIGHT[tau[s]] == WEIGHT[s] for s in _SIMPLES),
         "meet(s, delta) = meet(s, s) = s": all(
-            MEET[s][Simple.DELTA] == s and MEET[s][s] == s for s in _SIMPLES
+            MEET[s][_DELTA] == s and MEET[s][s] == s for s in _SIMPLES
         ),
         "tau cycles": all(
             tau[c[i]] == c[(i + 1) % len(c)] for c in _TAU_CYCLES for i in range(len(c))

@@ -35,7 +35,6 @@ from itertools import islice, starmap
 from bkl4.engine import (
     Factors,
     GarsideBraid,
-    _ONE,
     _Record,
     _set,
     _conjugate_factors,
@@ -43,7 +42,7 @@ from bkl4.engine import (
     _right_pass,
     braid_from_factors,
 )
-from bkl4.simples import COMPLEMENT, LEFT_WEIGHTED, MEET, TAU_POWER, Simple
+from bkl4.simples import _ONE, COMPLEMENT, LEFT_WEIGHTED, MEET, TAU_POWER
 
 __all__ = [
     "SlidingTrajectory",
@@ -61,7 +60,7 @@ def _cycle_factors(power: int, factors: Factors) -> tuple[int, Factors]:
     return _finish(fs)
 
 
-def _slide(power: int, factors: Factors) -> tuple[int, Factors, Simple]:
+def _slide(power: int, factors: Factors) -> tuple[int, Factors, int]:
     """s(x) for x = delta^power . factors, as its power, its factors and the
     prefix used; the walks of the SC search slide with it."""
     if not factors:
@@ -99,7 +98,7 @@ class SlidingTrajectory(_Record):
     def __init__(
         self,
         steps: tuple[GarsideBraid, ...],
-        prefixes: tuple[Simple, ...],
+        prefixes: tuple[int, ...],
         cycle_start: int,
         accumulated_conjugator: GarsideBraid,
     ) -> None:
@@ -118,7 +117,7 @@ def slide_to_circuit(x: GarsideBraid) -> SlidingTrajectory:
     y = (x.power, x.factors)
     # {(power, factors): position}, in walk order.
     seen = {y: 0}
-    prefixes: list[Simple] = []
+    prefixes: list[int] = []
     while True:
         power, factors, t = _slide(*y)
         prefixes.append(t)

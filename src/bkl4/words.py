@@ -48,27 +48,28 @@ __all__ = [
     "beta_word",
 ]
 
-Letter = tuple[Simple, int]
+Letter = tuple[int, int]
 
 MAX_WORD_LETTERS = 10_000
 
-_NAME_TO_LETTER: dict[str, Simple] = {
-    "a12": Simple.A12,
-    "a13": Simple.A13,
-    "a14": Simple.A14,
-    "a23": Simple.A23,
-    "a24": Simple.A24,
-    "a34": Simple.A34,
-    "c123": Simple.C123,
-    "c124": Simple.C124,
-    "c134": Simple.C134,
-    "c234": Simple.C234,
-    "p12-34": Simple.P12_34,
-    "p14-23": Simple.P14_23,
-    "d": Simple.DELTA,
-    "s1": Simple.A12,
-    "s2": Simple.A23,
-    "s3": Simple.A34,
+# Names to plain ints, the values of `Simple`, as the tables take them.
+_NAME_TO_LETTER: dict[str, int] = {
+    "a12": Simple.A12.value,
+    "a13": Simple.A13.value,
+    "a14": Simple.A14.value,
+    "a23": Simple.A23.value,
+    "a24": Simple.A24.value,
+    "a34": Simple.A34.value,
+    "c123": Simple.C123.value,
+    "c124": Simple.C124.value,
+    "c134": Simple.C134.value,
+    "c234": Simple.C234.value,
+    "p12-34": Simple.P12_34.value,
+    "p14-23": Simple.P14_23.value,
+    "d": Simple.DELTA.value,
+    "s1": Simple.A12.value,
+    "s2": Simple.A23.value,
+    "s3": Simple.A34.value,
 }
 
 _TOKEN_RE = re.compile(r"[^.\s]+")
@@ -131,7 +132,7 @@ def format_braid_compact(x: GarsideBraid) -> str:
         parts.append("d")
     elif x.power:
         parts.append(f"d^{x.power}")
-    run: Simple | None = None
+    run: int | None = None
     count = 0
     for f in (*x.factors, None):
         if f == run:

@@ -235,13 +235,23 @@ def test_find_conjugator_exits_early(monkeypatch):
     assert len(closed) == len(sc.orbits) and sum(closed) == sc.size == 6
 
 
+def _minimal_arrows_by_brute_force(y: GarsideBraid, members: set) -> list:
+    """The minimal arrows at y with their targets, sorted by (weight,
+    index): the nontrivial simples s with y^s in `members` (a complete SC)
+    that have no other such simple among their prefixes."""
+    nontrivial = [s for s in Simple if s != Simple.ONE]
+    targets = {s: conjugate(y, GarsideBraid(0, (s,))) for s in nontrivial}
+    arrows = {s for s, t in targets.items() if t in members}
+    minimal = [s for s in arrows if not arrows & (DIVISORS[s] - {s})]
+    return [(s, targets[s]) for s in sorted(minimal, key=lambda s: (WEIGHT[s], s))]
+
+
 def test_arrows_are_arrows_and_minimal():
     # The circuit graph against a brute force that shares none of its
     # candidate filter: the nontrivial simples s with y^s in the complete SC
     # are the arrows at y, and the minimal ones have no other arrow among
     # their prefixes.  On every element of SC(beta_1), of two non-rigid sets
     # and of a delta power.
-    nontrivial = [s for s in Simple if s != Simple.ONE]
     bases = [beta_braid(1), *_non_rigid_classes(2, 5), GarsideBraid(2, ())]
     checked = 0
     for x in bases:
@@ -249,17 +259,42 @@ def test_arrows_are_arrows_and_minimal():
         members = set(sc.elements)
         graph = circuit_graph(sc)
         for y in sc.elements:
-            arrows = {
-                s for s in nontrivial if conjugate(y, GarsideBraid(0, (s,))) in members
-            }
-            minimal = sorted(
-                (s for s in arrows if not arrows & (DIVISORS[s] - {s})),
-                key=lambda s: (WEIGHT[s], s),
-            )
+            minimal = _minimal_arrows_by_brute_force(y, members)
             assert minimal, y
-            assert tuple(s for s, _ in graph[y]) == tuple(minimal), y
+            assert tuple(s for s, _ in graph[y]) == tuple(s for s, _ in minimal), y
             checked += 1
     assert checked == 160 + 60 + 20 + 1
+
+
+def test_arrows_on_every_short_braid():
+    # Small scope: every left normal form of canonical length 0..3 at delta
+    # powers 0..3.  At each orbit representative of each class, the arrow
+    # kernel (candidate table, iota target read off cycling) and the arrows
+    # the search recorded agree with the brute force, targets included.
+    classes: dict[GarsideBraid, int] = {}
+    braids = 0
+    for p in range(4):
+        for r in range(4):
+            for factors in _normal_forms(r):
+                sc = compute_sc(GarsideBraid(p, factors))
+                braids += 1
+                key = min(sc.elements, key=lambda b: (b.power, b.factors))
+                if key in classes:
+                    continue
+                classes[key] = len(sc.orbits)
+                members = set(sc.elements)
+
+                def in_sc(q, f):
+                    return GarsideBraid(q, f) in members
+
+                for orbit in sc.orbits:
+                    y = orbit.representative
+                    minimal = _minimal_arrows_by_brute_force(y, members)
+                    kernel = circuits._arrows(y.power, y.factors, in_sc)
+                    found = [(s, GarsideBraid(y.power, t)) for s, t in kernel]
+                    assert found == minimal, y
+                    assert orbit._labels == tuple(s for s, _ in minimal), y
+    assert (braids, len(classes), sum(classes.values())) == (1828, 128, 141)
 
 
 def test_orbit_partition_is_a_partition():
@@ -343,15 +378,22 @@ def test_single_lookups_agree_with_iteration(x):
 def test_arrow_target_with_another_power_is_an_error(monkeypatch):
     # An arrow never changes the power inside SC; if one did, the search
     # must stop rather than take the target for a new element.  The arrow
-    # tests conjugate through `_conjugate_factors`; here every candidate
-    # target gets one more delta, and rigidity does not read the power.
-    real = circuits._conjugate_factors
+    # tests conjugate through `_conjugate_factors`, and read the target of
+    # iota(y) off `_cycle_factors`; here every candidate target gets one
+    # more delta.
+    conjugate_factors = circuits._conjugate_factors
+    cycle_factors = circuits._cycle_factors
 
     def shifted(p, factors, s):
-        q, target = real(p, factors, s)
+        q, target = conjugate_factors(p, factors, s)
         return q + 1, target
 
+    def shifted_cycle(p, factors):
+        extra, target = cycle_factors(p, factors)
+        return extra + 1, target
+
     monkeypatch.setattr(circuits, "_conjugate_factors", shifted)
+    monkeypatch.setattr(circuits, "_cycle_factors", shifted_cycle)
     with pytest.raises(RuntimeError, match="power"):
         compute_sc(beta_braid(1))
 
@@ -620,13 +662,20 @@ def _check_orbit_words(orbit, members) -> int:
     return m
 
 
+def _normal_forms(length: int) -> list[tuple[int, ...]]:
+    """The factors of every left normal form of canonical length `length`."""
+    words = [()]
+    for _ in range(length):
+        words = [
+            w + (v,) for w in words for v in (FOLLOWS[w[-1]] if w else PROPER_SIMPLES)
+        ]
+    return words
+
+
 def _rigid_forms(length: int, p: int):
     """Every rigid left normal form delta^p . x1 ... x_length."""
     untwist = TAU_POWER[-p % 4]
-    words = [(s,) for s in PROPER_SIMPLES]
-    for _ in range(length - 1):
-        words = [w + (v,) for w in words for v in FOLLOWS[w[-1]]]
-    return [w for w in words if LEFT_WEIGHTED[w[-1]][untwist[w[0]]]]
+    return [w for w in _normal_forms(length) if LEFT_WEIGHTED[w[-1]][untwist[w[0]]]]
 
 
 def test_rigid_orbit_keys_on_every_short_rigid_form():

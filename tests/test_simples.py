@@ -1,4 +1,5 @@
-"""Frozen-value and invariant tests for the 14-simple tables."""
+"""Frozen-value and invariant tests for the 14-simple tables, and the value
+type they and every factor of the package hold."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import itertools
 import pytest
 
 from bkl4 import simples
+from bkl4.circuits import compute_sc
+from bkl4.engine import conjugate, invert, multiply
 from bkl4.simples import (
     ATOMS,
     COMPLEMENT,
@@ -24,7 +27,10 @@ from bkl4.simples import (
     Simple,
     self_check,
 )
-from braids import FOLLOWS
+from bkl4.sliding import slide_to_circuit
+from bkl4.solver import solve_conjugacy
+from bkl4.words import parse_braid
+from braids import FOLLOWS, beta_braid
 
 S, W, N, E, M, A = (
     Simple.A12,
@@ -251,3 +257,43 @@ def test_atom_count_and_proper_count():
     assert len(ATOMS) == 6
     assert len(PROPER_SIMPLES) == 12
     assert len(FOLLOWS) == 14
+
+
+def _leaves(value):
+    """The values a table holds, through its nested tuples and sets."""
+    if isinstance(value, (tuple, frozenset)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_tables_and_factors_are_exact_ints():
+    # A `Simple` member equals its int, so an answer stays right if one leaks
+    # into a table or a factor; it only takes the slow tuple subscript and
+    # stops the passes' `is` exits from firing.  Only a type test sees it.
+    for name in ("RENORM", "TAU_POWER", "COMPLEMENT", "MEET", "DIVISORS",
+                 "LEFT_WEIGHTED", "COMPOSE", "LQUOT", "SPELLING", "WEIGHT",
+                 "ATOMS", "PROPER_SIMPLES"):
+        kinds = {type(v) for v in _leaves(getattr(simples, name))}
+        expected = {bool} if name == "LEFT_WEIGHTED" else {int}
+        if name in ("COMPOSE", "LQUOT"):
+            expected.add(type(None))
+        assert kinds == expected, name
+
+    braids = []
+    non_rigid = parse_braid("c123.a13.a13.a23")
+    w = parse_braid("a13^-1.d.c234.a12^2")
+    for x in (beta_braid(1), beta_braid(2), beta_braid(3), non_rigid):
+        y = conjugate(x, w)
+        braids += [x, y, multiply(x, w), invert(x), conjugate(x, parse_braid("a24"))]
+        walk = slide_to_circuit(y)
+        braids += walk.steps
+        assert all(type(t) is int for t in walk.prefixes)
+        sc = compute_sc(x)
+        braids += sc.elements
+        braids += [orbit.representative for orbit in sc.orbits]
+        cert = solve_conjugacy(x, y).certificate
+        braids += [cert.x, cert.y, cert.z]
+    assert not compute_sc(non_rigid).rigid
+    assert all(type(f) is int for b in braids for f in b.factors)
