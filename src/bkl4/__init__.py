@@ -16,7 +16,6 @@ from bkl4.circuits import (
     circuit_graph,
     compute_sc,
     quotient_graph,
-    resolve_cap,
 )
 from bkl4.engine import (
     IDENTITY,
@@ -103,7 +102,6 @@ __all__ = [
     "circuit_graph",
     "compute_sc",
     "quotient_graph",
-    "resolve_cap",
     # solver
     "CONJUGATE",
     "INCONCLUSIVE",

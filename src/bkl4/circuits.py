@@ -58,8 +58,8 @@ of x), at the shared power:
     whole search.  Two sets of (power, factors) tuples are kept: `inside`
     holds whole sliding circuits only (the start's circuit, from the walk
     that finds the start, and the circuit closed by every later walk),
-    `outside` the walks' pre-periodic tails.  A candidate in either set is
-    answered at once, and a walk that reaches either set at step 1 or later
+    `outside` the later walks' pre-periodic tails.  A candidate in either set
+    is answered at once, and a walk that reaches either set at step 1 or later
     shows that the candidate is not in SC(x): a periodic point's walk is its
     own circuit, which would already be in `inside` with the candidate in it.
     So cycling and tau images of members must not go into `inside`: their
@@ -94,14 +94,14 @@ orbits and arrows the search records.  `circuit_graph` gives the arrows at
 every element: tau is an automorphism of the simple lattice that preserves
 SC(x), so the arrows at tau^k(y) are the twists of the arrows at y.
 
-The search size is capped (default 10**6, overridable by the B4_SC_CAP
-environment variable or a `cap` argument); hitting the cap raises
-CapExceededError rather than silently truncating.
+The search size is capped by a `cap` argument (default 10**6 elements).
+The search raises CapExceededError, rather than silently truncating, once
+the orbits closed so far hold more than `cap` elements, or once a cycling
+walk outgrows what is left of the cap, before the walk's twists are built.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Container, Iterable, Iterator
 
 from bkl4.engine import (
@@ -139,7 +139,6 @@ __all__ = [
     "SCSet",
     "Orbit",
     "QuotientGraph",
-    "resolve_cap",
     "compute_sc",
     "quotient_graph",
     "circuit_graph",
@@ -164,53 +163,30 @@ class CapExceededError(RuntimeError):
         self.cap = cap
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """The search cap: `cap` if given, else B4_SC_CAP, else DEFAULT_CAP.
-
-    Raises ValueError unless the cap is a non-negative integer.
-    """
-    source = "cap"
-    if cap is None:
-        text = os.environ.get("B4_SC_CAP")
-        if text is None:
-            return DEFAULT_CAP
-        source = "B4_SC_CAP"
-        try:
-            cap = int(text)
-        except ValueError:
-            raise ValueError(
-                f"B4_SC_CAP must be a non-negative integer, not {text!r}"
-            ) from None
-    if cap < 0:
-        raise ValueError(f"{source} must be a non-negative integer, not {cap}")
-    return cap
-
-
 def _sort_key(s: int) -> tuple[int, int]:
     return (WEIGHT[s], s)
 
 
 def _membership(
     circuits: Iterable[tuple[int, Factors]],
-    tails: Iterable[tuple[int, Factors]] = (),
     power: int = 0,
     closed: Container[Factors] = (),
 ) -> Callable[[int, Factors], bool]:
     """SC membership in a class with no rigid element, memoized.
 
     Elements are (power, factors) tuples.  `circuits` must be a union of
-    whole sliding circuits of the class and `tails` elements of the class
-    known not to be in SC; `closed` holds factors of elements of SC, all at
-    SC's power `power` (the search's closed orbits, which grow while it
-    runs).  The returned test `member(p, factors)` answers at once for an
-    element in any of them; otherwise it slides, and stops with False as
-    soon as a step lands in the first two sets.  Each walk adds its
-    circuit, if it closes one, to the first set and the rest of it to the
-    second; an element of `closed` is not added, as its circuit is not
+    whole sliding circuits of the class; `closed` holds factors of elements
+    of SC, all at SC's power `power` (the search's closed orbits, which grow
+    while it runs).  The returned test `member(p, factors)` answers at once
+    for an element of either, or one that an earlier walk showed to be
+    outside SC; otherwise it slides, and stops with False as soon as a step
+    lands on a known circuit or a known outsider.  Each walk adds its
+    circuit, if it closes one, to the circuits and the rest of it to the
+    outsiders; an element of `closed` is not added, as its circuit is not
     known.
     """
     inside = set(circuits)
-    outside = set(tails)
+    outside: set[tuple[int, Factors]] = set()
 
     def member(p: int, factors: Factors) -> bool:
         y = (p, factors)
@@ -307,10 +283,11 @@ class Orbit:
     """One tau/cycling orbit inside an SC set.
 
     `members` lists its elements in canonical order (the representative
-    first), built when it is read.  The orbit keeps the minimal arrows at
-    its representative and the keys of the orbits they lead to, which the
-    quotient graph reads.  A rigid class has `_RigidOrbit`s, any other class
-    `_CyclingOrbit`s; they differ in how they hold the members.
+    first), built when it is read, and `size` counts them.  The orbit keeps
+    the minimal arrows at its representative and the keys of the orbits they
+    lead to, which the quotient graph reads.  A rigid class has
+    `_RigidOrbit`s, any other class `_CyclingOrbit`s; they differ in how they
+    hold the members.
     """
 
     __slots__ = (
@@ -322,6 +299,7 @@ class Orbit:
         "_parent",
         "_arrow",
         "_walk_conjugators",
+        "size",
     )
 
     # A member's factors: the bytes of a rigid member and the tuple of any
@@ -458,7 +436,7 @@ class _RigidOrbit(Orbit):
     window at position j of the first word, for j below d.
     """
 
-    __slots__ = ("_haystack", "_period", "size")
+    __slots__ = ("_haystack", "_period")
 
     _member = staticmethod(bytes)
 
@@ -492,8 +470,7 @@ class _RigidOrbit(Orbit):
         return index.get(self._key)
 
     def _close(self, index: dict[bytes, Orbit], room: int, cap: int) -> None:
-        if self.size > room:
-            raise CapExceededError(cap)
+        """Add the orbit to `index`; its size is known from its words."""
         index[self._key] = self
 
     def _holds(self, member: bytes) -> bool:
@@ -528,19 +505,21 @@ class _CyclingOrbit(Orbit):
 
     _member = staticmethod(tuple)
 
-    @property
-    def size(self) -> int:
-        return len(self._members)
-
     def _lookup(self, index: dict[Factors, Orbit]) -> Orbit | None:
         return index.get(self._seed)
 
     def _close(self, index: dict[Factors, Orbit], room: int, cap: int) -> None:
         """Find every member from the seed and add them to `index`; raise
-        CapExceededError past `room` members.
+        CapExceededError as soon as the walk outgrows `room` members, before
+        its twists are built.
 
         SC lies in the ultra summit set, where cycling is periodic, so the
-        walk comes back to the seed.
+        walk comes back to the seed.  tau has order 4 and commutes with
+        cycling, so each twist of the walk is the walk of a twist of the
+        seed, and the orbit is the first m twists of the walk, as in
+        `_RigidOrbit`: if tau(seed) is on the walk, so are all twists; else
+        if tau^2(seed) is, tau^3(seed) is on the walk of tau(seed); else the
+        four twists are disjoint.
         """
         seed = self._seed
         walk = [seed]
@@ -553,15 +532,16 @@ class _CyclingOrbit(Orbit):
                     raise CapExceededError(cap)
                 walk.append(f)
                 extra, f = _cycle_factors(self._power, f)
-        if len(walk) > room:
-            raise CapExceededError(cap)
         members = dict.fromkeys(walk)
-        for twist in TAU_POWER[1:]:
-            if tuple(map(twist.__getitem__, seed)) in members:
-                continue  # this twist of the walk is the walk of a member
-            if len(members) + len(walk) > room:
-                raise CapExceededError(cap)
+        if tuple(map(TAU_POWER[1].__getitem__, seed)) in members:
+            m = 1
+        elif tuple(map(TAU_POWER[2].__getitem__, seed)) in members:
+            m = 2
+        else:
+            m = 4
+        for twist in TAU_POWER[1:m]:
             members.update(dict.fromkeys(tuple(map(twist.__getitem__, f)) for f in walk))
+        self.size = m * len(walk)
         self._members = members
         self._walk = walk
         self._steps: dict[Factors, tuple[int, int]] | None = None
@@ -635,15 +615,14 @@ class SCSet(_Record):
         return {element: orbit._conjugator(m) for element, orbit, m in self._walk()}
 
 
-def _orbits(entry: SlidingTrajectory, cap: int | None) -> Iterator[Orbit]:
+def _orbits(entry: SlidingTrajectory, cap: int) -> Iterator[Orbit]:
     """The orbits of SC(x), searched from the sliding walk `entry` of x,
     each yielded as soon as it is closed, in search order; an orbit's arrows
     are tested after it is yielded.  Raises CapExceededError when the set
-    would exceed the cap.
+    would exceed `cap` elements, and ValueError for a negative `cap`.
     """
-    cap = resolve_cap(cap)
-    if cap == 0:
-        raise CapExceededError(cap)  # SC(x) is never empty
+    if cap < 0:
+        raise ValueError(f"cap must be a non-negative integer, not {cap}")
     start = entry.representative
     power = start.power
     # {key: orbit} in a rigid class, else {factors of each member: orbit}.
@@ -654,9 +633,7 @@ def _orbits(entry: SlidingTrajectory, cap: int | None) -> Iterator[Orbit]:
     kind: type[Orbit] = _RigidOrbit
     if not is_rigid(start):
         c = entry.cycle_start
-        member = _membership(
-            _raw(entry.steps[c:]), _raw(entry.steps[:c]), power, index
-        )
+        member = _membership(_raw(entry.steps[c:]), power, index)
         kind = _CyclingOrbit
 
     def close(orbit: Orbit) -> Orbit:
@@ -664,6 +641,8 @@ def _orbits(entry: SlidingTrajectory, cap: int | None) -> Iterator[Orbit]:
         nonlocal size
         orbit._close(index, cap - size, cap)
         size += orbit.size
+        if size > cap:
+            raise CapExceededError(cap)
         orbits.append(orbit)
         return orbit
 
@@ -690,10 +669,11 @@ def _orbits(entry: SlidingTrajectory, cap: int | None) -> Iterator[Orbit]:
                 orbit._targets.append(known._key)
 
 
-def compute_sc(x: GarsideBraid, *, cap: int | None = None) -> SCSet:
+def compute_sc(x: GarsideBraid, *, cap: int = DEFAULT_CAP) -> SCSet:
     """Compute SC(x) orbit by orbit from its circuit representative.
 
-    Raises CapExceededError when the set would exceed the cap.
+    Raises CapExceededError when the set would exceed `cap` elements, and
+    ValueError for a negative `cap`.
     """
     entry = slide_to_circuit(x)
     found = tuple(_orbits(entry, cap))
@@ -709,7 +689,7 @@ def compute_sc(x: GarsideBraid, *, cap: int | None = None) -> SCSet:
 
 
 def _find_conjugator(
-    entry: SlidingTrajectory, y: GarsideBraid, cap: int | None
+    entry: SlidingTrajectory, y: GarsideBraid, cap: int
 ) -> GarsideBraid | None:
     """z with x^z = y, x the start of the sliding walk `entry`, read off the
     first orbit of SC(x) that holds y; None if SC(x) does not.

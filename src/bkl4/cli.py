@@ -16,8 +16,8 @@ names c123..p14-23, `d` for the Garside element, `s1|s2|s3` for the Artin
 generators, `^` for integer powers, factors separated by `.` or whitespace.
 
 Exit codes: 0 success / conjugate, 1 not conjugate, 2 parse or usage error,
-3 cap exceeded (the safety cap is `--cap` or the B4_SC_CAP variable, a
-non-negative integer), 4 internal error (out of memory, recursion too deep,
+3 cap exceeded (the safety cap is `--cap`, a non-negative integer, default
+10**6 SC elements), 4 internal error (out of memory, recursion too deep,
 a failed soundness check, or stdout closed before the output was written;
 never an answer).
 
@@ -43,12 +43,12 @@ import sys
 from collections.abc import Sequence
 
 from bkl4.circuits import (
+    DEFAULT_CAP,
     CapExceededError,
     SCSet,
     circuit_graph,
     compute_sc,
     quotient_graph,
-    resolve_cap,
 )
 from bkl4.engine import GarsideBraid, invariants
 from bkl4.simples import SIMPLE_NAMES
@@ -107,14 +107,18 @@ def _parse(text: str) -> GarsideBraid:
 
 
 def _cap(text: str | None) -> int:
-    """The validated search cap: `--cap`, else B4_SC_CAP, else the default."""
+    """The search cap: `--cap` as a non-negative int, else DEFAULT_CAP."""
+    if text is None:
+        return DEFAULT_CAP
     try:
-        return resolve_cap(None if text is None else int(text))
-    except ValueError as exc:
-        message = str(exc)
-        if text is not None:
-            message = f"--cap must be a non-negative integer, not {text!r}"
-        raise _CliError(EXIT_USAGE, "usage", message) from exc
+        cap = int(text)
+    except ValueError:
+        pass
+    else:
+        if cap >= 0:
+            return cap
+    message = f"--cap must be a non-negative integer, not {text!r}"
+    raise _CliError(EXIT_USAGE, "usage", message)
 
 
 def _invariant_fields(x: GarsideBraid, periodic: bool | None = None) -> dict:

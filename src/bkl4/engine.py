@@ -53,6 +53,7 @@ x = delta^p . x1 ... xr,
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
@@ -163,11 +164,16 @@ Invariants.__doc__ = "Summit-style invariants of a normal form."
 def normalize_factors(raw: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Left-normalize a factor list; returns (delta count, proper factors).
 
-    Accepts any mix of simples including 1 and delta.  The result's factors
-    are proper and pairwise left-weighted.
+    Accepts any mix of simples including 1 and delta, as ints or int-likes
+    such as `Simple` members.  The result's factors are proper, pairwise
+    left-weighted and exact ints.
     """
     fs: list[int] = []
     _extend(fs, raw)
+    if len(fs) == 1:
+        # A pass reads each factor it moves from the tables, which hold
+        # ints; a lone factor meets no pass.
+        fs[0] = operator.index(fs[0])
     return _finish(fs)
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 
-from bkl4.circuits import CapExceededError, _find_conjugator
+from bkl4.circuits import DEFAULT_CAP, CapExceededError, _find_conjugator
 from bkl4.engine import (
     IDENTITY,
     GarsideBraid,
@@ -164,7 +164,7 @@ def _search(
     y: GarsideBraid,
     tx: SlidingTrajectory,
     ty: SlidingTrajectory,
-    cap: int | None,
+    cap: int,
 ) -> SolverDecision:
     """General path: hunt y's circuit representative inside SC(x), from the
     sliding walk of x."""
@@ -185,9 +185,13 @@ def solve_conjugacy(
     y: GarsideBraid,
     *,
     assume_pa: bool = False,
-    cap: int | None = None,
+    cap: int = DEFAULT_CAP,
 ) -> SolverDecision:
-    """Decide conjugacy of x and y; produce a verified certificate if so."""
+    """Decide conjugacy of x and y; produce a verified certificate if so.
+
+    `cap` bounds the SC search as in `compute_sc`: a search past it is
+    'inconclusive', and one with a negative `cap` raises ValueError.
+    """
     if x == y:
         return _conjugate_decision(x, y, IDENTITY, "identical")
     ix, iy = invariants(x), invariants(y)
@@ -215,7 +219,7 @@ def solve_conjugacy(
 
 
 def _solve_by_powering(
-    x: GarsideBraid, y: GarsideBraid, cap: int | None
+    x: GarsideBraid, y: GarsideBraid, cap: int
 ) -> SolverDecision | None:
     """Pseudo-Anosov fast path; None means 'fall back to the general path'."""
     px = power_to_rigid(x)

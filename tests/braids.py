@@ -84,6 +84,18 @@ _ARTIN_ATOM: dict[Simple, tuple[int, ...]] = {
 }
 
 
+# A class for each orbit shape, for the cap boundary tests: (word, |SC|,
+# a braid with the same circuit invariants that is not conjugate to it, so
+# that the solver reads all of SC(word)).  beta_1 is rigid; the others have
+# cycling orbits that are m = 1, 2 and 4 tau twists of their walk.
+CAP_CLASSES = (
+    (beta_word(1), 160, "d^0 . a34 . a23 . a12 . a12 . a14 . a24 . a13 . a14"),
+    ("s1.s2.s3^3.s2^-1.s1^-3", 60, "d^-2 . p14-23 . p14-23 . a24 . a12 . a14"),
+    ("a12^3.a23^-3", 72, "d^-3 . p14-23 . c124 . a12 . a13 . p14-23 . a12"),
+    ("s1^4.s2^-4", 96, "d^-4 . c123 . c123 . p14-23 . c234 . a12 . a13 . a23 . a12"),
+)
+
+
 def to_artin_letters(letters) -> list[int]:
     """Spell signed band-generator letters [(simple, exponent), ...] as
     signed Artin letters (1, 2, 3)."""

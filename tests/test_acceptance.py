@@ -14,6 +14,7 @@ import time
 import pytest
 
 from bkl4.circuits import (
+    DEFAULT_CAP,
     _find_conjugator,
     circuit_graph,
     compute_sc,
@@ -440,7 +441,7 @@ def test_sc_from_a_sliding_walk_matches_sc_from_its_start(random_sc_pool, beta_s
         conjugators = sc.conjugators()
         representatives = [orbit.representative for orbit in sc.orbits]
         for y in representatives:
-            assert _find_conjugator(walk, y, None) == conjugators[y]
+            assert _find_conjugator(walk, y, DEFAULT_CAP) == conjugators[y]
         # Verifying every conjugator of beta_5..beta_8 takes about 20 s on a
         # 2-core VM; there each orbit's representative is verified.
         checked = representatives if sc.size > 1000 else sc.elements

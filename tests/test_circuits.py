@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 import bkl4.engine
 from bkl4 import circuits
 from bkl4.circuits import (
+    DEFAULT_CAP,
     CapExceededError,
     QuotientGraph,
     circuit_graph,
     compute_sc,
     quotient_graph,
-    resolve_cap,
 )
 from bkl4.engine import (
     GarsideBraid,
@@ -39,7 +39,16 @@ from bkl4.simples import (
     Simple,
 )
 from bkl4.sliding import is_rigid, slide_to_circuit
-from braids import FOLLOWS, RIGID_KINDS, beta_braid, random_braid, rigid_braid
+from bkl4.solver import solve_conjugacy
+from bkl4.words import parse_braid
+from braids import (
+    CAP_CLASSES,
+    FOLLOWS,
+    RIGID_KINDS,
+    beta_braid,
+    random_braid,
+    rigid_braid,
+)
 from reference_sc import orbit_partition, reference_orbit, reference_sc
 
 S, W, N, E, M, A = (
@@ -171,35 +180,60 @@ def test_cap_exceeded():
     assert info.value.cap == 10
 
 
-def test_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("B4_SC_CAP", "5")
-    with pytest.raises(CapExceededError) as info:
-        compute_sc(beta_braid(1))
-    assert info.value.cap == 5
-    monkeypatch.delenv("B4_SC_CAP")
-    assert compute_sc(beta_braid(1)).size == 160
-
-
-def test_cap_must_be_a_nonnegative_integer(monkeypatch):
-    assert resolve_cap(0) == 0
+def test_cap_must_be_a_nonnegative_integer():
+    x = beta_braid(1)
     with pytest.raises(ValueError, match="not -1"):
-        resolve_cap(-1)
-    for text in ("abc", "-2", "1.5"):
-        monkeypatch.setenv("B4_SC_CAP", text)
-        with pytest.raises(ValueError, match="B4_SC_CAP"):
-            compute_sc(beta_braid(1))
-    monkeypatch.delenv("B4_SC_CAP")
+        compute_sc(x, cap=-1)
+    y = conjugate(x, GarsideBraid(0, (M,)))
+    with pytest.raises(ValueError, match="not -1"):
+        solve_conjugacy(x, y, cap=-1)
     # A set of exactly `cap` elements fits; no set fits under a cap of 0.
     assert compute_sc(GarsideBraid(0, (M, M)), cap=6).size == 6
     assert compute_sc(GarsideBraid(2, ()), cap=1).size == 1
     with pytest.raises(CapExceededError):
         compute_sc(GarsideBraid(2, ()), cap=0)
-    # SC(d . a13 . a13) is one cycling walk with no new tau-twists: the cap
-    # bounds the walk itself.
+    # SC(d . a13 . a13) is one orbit, a walk with no new tau-twists.
     walk_only = GarsideBraid(1, (M, M))
     assert compute_sc(walk_only, cap=4).size == 4
     with pytest.raises(CapExceededError):
         compute_sc(walk_only, cap=3)
+
+
+def test_a_cap_of_the_set_size_fits_every_orbit_shape():
+    # A cap of |SC| admits the set and |SC| - 1 does not, for a rigid class
+    # and for cycling orbits of each number m of tau twists of their walk.
+    shapes = []
+    for word, size, _ in CAP_CLASSES:
+        x = parse_braid(word)
+        sc = compute_sc(x, cap=size)
+        assert sc.size == size
+        with pytest.raises(CapExceededError) as info:
+            compute_sc(x, cap=size - 1)
+        assert info.value.cap == size - 1
+        shapes.append(
+            "rigid" if sc.rigid else {o.size // len(o._walk) for o in sc.orbits}
+        )
+    assert shapes == ["rigid", {1}, {2}, {4}]
+
+
+def test_cap_stops_a_cycling_walk_before_its_twists(monkeypatch):
+    # SC(s1^4 . s2^-4) is one orbit, the four tau twists of a cycling walk of
+    # 24.  A cap below 24 stops the walk at the cap, before the twists are
+    # built; a cap of 24 to 95 lets the walk close, and the set total fires.
+    x = parse_braid("s1^4.s2^-4")
+    cycle = circuits._cycle_factors
+    steps = []
+
+    def counting(power, factors):
+        steps.append(factors)
+        return cycle(power, factors)
+
+    monkeypatch.setattr(circuits, "_cycle_factors", counting)
+    for cap, walked in ((0, 1), (1, 1), (23, 23), (24, 24), (95, 24)):
+        steps.clear()
+        with pytest.raises(CapExceededError):
+            compute_sc(x, cap=cap)
+        assert len(steps) == walked, cap
 
 
 def test_find_conjugator_exits_early(monkeypatch):
@@ -211,7 +245,7 @@ def test_find_conjugator_exits_early(monkeypatch):
     sc = compute_sc(y)
     conjugators = sc.conjugators()
     target = GarsideBraid(0, (W, W))
-    z = circuits._find_conjugator(walk, target, None)
+    z = circuits._find_conjugator(walk, target, DEFAULT_CAP)
     assert z == conjugators[target] and conjugate(y, z) == target
     closed = []
     search = circuits._orbits
@@ -224,14 +258,14 @@ def test_find_conjugator_exits_early(monkeypatch):
     monkeypatch.setattr(circuits, "_orbits", counting)
     # A target that seeds no orbit stops the search once its orbit is closed.
     inner = GarsideBraid(0, (A, A))
-    z = circuits._find_conjugator(walk, inner, None)
+    z = circuits._find_conjugator(walk, inner, DEFAULT_CAP)
     assert closed == [2] and z == conjugators[inner]
     assert conjugate(y, z) == inner
     # The search stops only at an element of the set's power: a member's
     # factors at another power never stop it, and the whole set is searched.
     closed.clear()
     shifted = GarsideBraid(1, (W, W))
-    assert circuits._find_conjugator(walk, shifted, None) is None
+    assert circuits._find_conjugator(walk, shifted, DEFAULT_CAP) is None
     assert len(closed) == len(sc.orbits) and sum(closed) == sc.size == 6
 
 
@@ -420,7 +454,7 @@ def test_search_builds_no_braid_per_arrow_candidate(monkeypatch):
         circuit_graph(sc)
     target = GarsideBraid(0, (W, W))
     walk = slide_to_circuit(GarsideBraid(0, (M, M)))
-    assert circuits._find_conjugator(walk, target, None) is not None
+    assert circuits._find_conjugator(walk, target, DEFAULT_CAP) is not None
 
     bases = [beta_braid(2), beta_braid(8)]
     built = 0
@@ -511,10 +545,7 @@ def test_memoized_membership_matches_sliding_walks(seed):
     # about random conjugates of x and the braids on their sliding walks.
     entry = slide_to_circuit(x)
     c = entry.cycle_start
-    raw = circuits._membership(
-        [(y.power, y.factors) for y in entry.steps[c:]],
-        [(y.power, y.factors) for y in entry.steps[:c]],
-    )
+    raw = circuits._membership([(y.power, y.factors) for y in entry.steps[c:]])
 
     def member(t):
         return raw(t.power, t.factors)

@@ -19,6 +19,7 @@ import bkl4.cli
 from bkl4.cli import main
 from bkl4.engine import conjugate
 from bkl4.words import MAX_WORD_LETTERS, beta_word, parse_braid, parse_word
+from braids import CAP_CLASSES
 
 
 def run(capsys, *argv):
@@ -151,29 +152,33 @@ def test_sc_cap_exceeded_json(capsys):
         assert "more than 5 elements" in data["message"]
 
 
-def test_cap_validation(capsys, monkeypatch):
+def test_cap_validation(capsys):
     for cap in ("-1", "abc"):
         code, out, err = run(capsys, "sc", "--cap", cap, "a13^2")
         assert (code, out) == (2, "")
         assert err.strip() == f"--cap must be a non-negative integer, not {cap!r}"
-    monkeypatch.setenv("B4_SC_CAP", "abc")
-    for argv in (["sc", "a13^2"], ["conj", "a12^2", "a13^2"]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.strip() == "B4_SC_CAP must be a non-negative integer, not 'abc'"
-    for argv in (["sc", "--json", "a13^2"], ["conj", "--json", "a12^2", "a13^2"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert json.loads(out) == {
-            "outcome": "error",
-            "reason": "usage",
-            "message": "B4_SC_CAP must be a non-negative integer, not 'abc'",
-        }
-    monkeypatch.delenv("B4_SC_CAP")
     for cap in ("-1", "abc"):
         code, out, err = run(capsys, "conj", "--json", "--cap", cap, "a12^2", "a13^2")
         assert code == 2
         assert json.loads(out)["reason"] == "usage"
+
+
+def test_cap_boundaries_on_every_orbit_shape(capsys):
+    # `sc --cap` and `conj --json --cap` on each orbit shape: a cap of |SC|
+    # fits, and |SC| - 1 exits 3 (for conj, a pair whose search reads all
+    # of SC).
+    for word, size, other in CAP_CLASSES:
+        assert run(capsys, "sc", "--cap", str(size), word)[:2] == (0, f"{size}\n")
+        code, out, err = run(capsys, "sc", "--cap", str(size - 1), word)
+        assert (code, out) == (3, "")
+        assert "cap exceeded" in err
+        for cap, code, outcome in (
+            (size, 1, "not-conjugate"),
+            (size - 1, 3, "inconclusive"),
+        ):
+            result = run(capsys, "conj", "--json", "--cap", str(cap), word, other)
+            assert result[0] == code, (word, cap)
+            assert json.loads(result[1])["outcome"] == outcome
 
 
 def test_parse_error_json(capsys):

@@ -71,6 +71,23 @@ def test_library_imports_neither_dataclasses_nor_typing():
             assert not roots & {"dataclasses", "typing"}, f"{path.name}:{node.lineno}"
 
 
+def test_library_reads_no_environment_variables():
+    # The command line's flags and the functions' arguments are the only
+    # settings: a variable read from the environment would be a hidden one.
+    # Other `os` names (the CLI's `os.devnull` and `os.dup2`) stay allowed.
+    reads = {"environ", "environb", "getenv"}
+    for path in sorted(Path(bkl4.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not names & reads, f"{path.name}:{node.lineno}"
+
+
 def _definitions_and_references():
     """Every module- and class-level definition in the package, as (file,
     name, first line, last line), and every reference, as (file, name, line,

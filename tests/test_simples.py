@@ -9,7 +9,7 @@ import pytest
 
 from bkl4 import simples
 from bkl4.circuits import compute_sc
-from bkl4.engine import conjugate, invert, multiply
+from bkl4.engine import braid_from_factors, conjugate, invert, multiply
 from bkl4.simples import (
     ATOMS,
     COMPLEMENT,
@@ -296,4 +296,6 @@ def test_tables_and_factors_are_exact_ints():
         cert = solve_conjugacy(x, y).certificate
         braids += [cert.x, cert.y, cert.z]
     assert not compute_sc(non_rigid).rigid
+    # Members passed in come back as ints, a lone one too.
+    braids += [braid_from_factors(0, [Simple.A12]), braid_from_factors(0, [Simple.A12] * 2)]
     assert all(type(f) is int for b in braids for f in b.factors)
