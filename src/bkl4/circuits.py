@@ -44,13 +44,18 @@ of x), at the shared power:
     *minimal* when the only prefixes t of s with y^t in SC(x) are 1 and s.
     Minimal arrows are always prefixes of iota(y) or complement(phi(y)), so
     the candidate set is tiny: one table, indexed by that pair of simples,
-    lists the candidates in weight-then-index order, and one with a smaller
+    lists the candidates in canonical order, which is weight-then-index
+    order, and one with a smaller
     arrow among its prefixes is skipped.  One kernel, `_arrows`, tests them
     for the search and `circuit_graph`, on (power, factors) tuples: each
     candidate s is one conjugation of the factors by s (a left and a right
     RENORM pass, see `bkl4.engine`), and no braid object is built for it.
-    The candidate iota(y) is not tested: its target is the cycling c(y), one
-    right pass, and cycling maps SC(x) to itself.  If
+    A candidate above an arrow found is skipped by one test of a bitmask of
+    the found arrows' multiples.  The candidate iota(y) is not tested and
+    its target is not built: it is the cycling c(y), and cycling maps SC(x)
+    and each orbit to itself (Gebhardt and Gonzalez-Meneses, Math. Z. 2010),
+    so the search records that arrow as leading to the orbit it leaves, and
+    only `circuit_graph` builds c(y), with one right pass.  If
     some element of SC(x) is rigid, SC(x) is exactly the set of rigid
     conjugates, so membership testing degenerates to a rigidity check on
     the target's factors;
@@ -122,7 +127,6 @@ from bkl4.simples import (
     PROPER_SIMPLES,
     SIMPLE_NAMES,
     TAU_POWER,
-    WEIGHT,
 )
 from bkl4.sliding import (
     SlidingTrajectory,
@@ -161,10 +165,6 @@ class CapExceededError(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"sliding circuit set exceeds cap of {cap} elements")
         self.cap = cap
-
-
-def _sort_key(s: int) -> tuple[int, int]:
-    return (WEIGHT[s], s)
 
 
 def _membership(
@@ -219,17 +219,18 @@ def _raw(braids: Iterable[GarsideBraid]) -> Iterator[tuple[int, Factors]]:
     return ((y.power, y.factors) for y in braids)
 
 
-# The proper simples in (weight, canonical index) order, the order arrow
-# candidates are tested in: a proper divisor has a smaller weight, so it
-# comes first.
-_BY_WEIGHT = tuple(sorted(PROPER_SIMPLES, key=_sort_key))
+# _MULTIPLES[s] has bit t set for each simple t that s divides.
+_MULTIPLES = tuple(
+    sum(1 << t for t, d in enumerate(DIVISORS) if s in d) for s in range(len(DIVISORS))
+)
 
-# _CANDIDATES[i][c]: the proper simples that divide i or c, in the order of
-# `_BY_WEIGHT`.  The arrow candidates at y are those of iota(y) and
-# complement(phi(y)).
+# _CANDIDATES[i][c]: the proper simples that divide i or c, in canonical order.
+# The arrow candidates at y are those of iota(y) and complement(phi(y)).
+# Canonical order is (weight, index) order, the order arrows are listed and
+# tested in: a proper divisor has a smaller weight, so it comes first.
 _CANDIDATES = tuple(
     tuple(
-        tuple(s for s in _BY_WEIGHT if s in DIVISORS[i] or s in DIVISORS[c])
+        tuple(s for s in PROPER_SIMPLES if s in DIVISORS[i] or s in DIVISORS[c])
         for c in range(len(DIVISORS))
     )
     for i in range(len(DIVISORS))
@@ -238,45 +239,47 @@ _CANDIDATES = tuple(
 
 def _arrows(
     power: int, factors: Factors, member: Callable[[int, Factors], bool]
-) -> list[tuple[int, Factors]]:
+) -> list[tuple[int, Factors | None]]:
     """The minimal arrows at y = delta^power . factors, an element of SC(y),
     each with the factors of its target y^s, sorted by (weight, canonical
     index); `member(p, f)` tests delta^p . f for membership in SC(y).
 
     The candidates are the nontrivial prefixes of iota(y) and of
     complement(phi(y)), and one above an arrow found is skipped.  The
-    candidate iota(y) needs no test: its target is the cycling c(y), and
-    cycling maps SC(y) to itself.  A target in SC(y) with another power
-    than y's is an error (RuntimeError).
+    candidate iota(y) needs no test, and its target is not built: it is the
+    cycling c(y), and cycling maps SC(y), and each of its orbits, to itself,
+    so that arrow comes with the target None.  A target in SC(y) with
+    another power than y's is an error (RuntimeError).
     """
+    arrows: list[tuple[int, Factors | None]] = []
+    blocked = 0  # the multiples of the arrows found, one bit per simple
     if not factors:
         # Delta powers: y^s = y iff tau^p(s) = s, and SC(y) = {y}.
-        twist = TAU_POWER[power % 4]
-        fixed = [s for s in (*_BY_WEIGHT, _DELTA) if twist[s] == s]
-        return [
-            (s, factors)
-            for s in fixed
-            if not any(t in fixed for t in DIVISORS[s] if t not in (_ONE, s))
-        ]
+        for s in (*PROPER_SIMPLES, _DELTA):
+            if TAU_POWER[power % 4][s] == s and not blocked >> s & 1:
+                arrows.append((s, factors))
+                blocked |= _MULTIPLES[s]
+        return arrows
     iota = TAU_POWER[-power % 4][factors[0]]
-    arrows: list[tuple[int, Factors]] = []
     for s in _CANDIDATES[iota][COMPLEMENT[factors[-1]]]:
-        if any(a in DIVISORS[s] for a, _ in arrows):
+        if blocked >> s & 1:
             continue
-        if s == iota:
-            extra, target = _cycle_factors(power, factors)
-            p = power + extra
-        else:
+        target = None
+        if s != iota:
             p, target = _conjugate_factors(power, factors, s)
             if not member(p, target):
                 continue
-        if p != power:
-            raise RuntimeError(
-                f"arrow {SIMPLE_NAMES[s]} at {GarsideBraid(power, factors)!r} "
-                f"leaves the power of SC: {GarsideBraid(p, target)!r}"
-            )
+            if p != power:
+                y = GarsideBraid(power, factors)
+                raise _power_error(s, y, GarsideBraid(p, target))
         arrows.append((s, target))
+        blocked |= _MULTIPLES[s]
     return arrows
+
+
+def _power_error(s: int, y: GarsideBraid, target: GarsideBraid) -> RuntimeError:
+    name = SIMPLE_NAMES[s]
+    return RuntimeError(f"arrow {name} at {y!r} leaves the power of SC: {target!r}")
 
 
 class Orbit:
@@ -652,11 +655,10 @@ def _orbits(entry: SlidingTrajectory, cap: int) -> Iterator[Orbit]:
         arrows = _arrows(power, orbit._factors(orbit._key), member)
         orbit._labels = tuple(s for s, _ in arrows)
         for s, target in arrows:
-            # Most targets lie in the orbit they leave or in its parent, which
-            # a substring search finds without a key.
-            seed = kind._member(target)
+            # iota's target (None) lies in the orbit it leaves; most others lie
+            # there or in its parent, which a substring search finds.
             parent = orbit._parent
-            if orbit._holds(seed):
+            if target is None or orbit._holds(seed := kind._member(target)):
                 orbit._targets.append(orbit._key)
             elif parent is not None and parent._holds(seed):
                 orbit._targets.append(parent._key)
@@ -719,7 +721,9 @@ def circuit_graph(
 
     Arrows are tested at one element of each tau class; tau is an
     automorphism of the simple lattice that preserves SC, so the arrows at
-    tau^k(y) are the twists of those at y, re-sorted.
+    tau^k(y) are the twists of those at y, re-sorted.  The target of
+    iota(y), which the arrow kernel leaves unbuilt, is one cycling step,
+    and one with another power than y's is an error (RuntimeError).
     """
     elements = sc.elements
     # SC is the union of its sliding circuits.
@@ -730,6 +734,12 @@ def circuit_graph(
             continue
         p = y.power
         arrows = _arrows(p, y.factors, member)
+        for i, (s, t) in enumerate(arrows):
+            if t is None:  # iota(y): the target is the cycling c(y)
+                extra, t = _cycle_factors(p, y.factors)
+                if extra:
+                    raise _power_error(s, y, GarsideBraid(p + extra, t))
+                arrows[i] = (s, t)
         for k, twist in enumerate(TAU_POWER):
             image = tau_braid(y, k)
             if image not in arrows_at:
@@ -738,7 +748,7 @@ def circuit_graph(
                     for s, t in arrows
                 )
                 arrows_at[image] = tuple(
-                    sorted(twisted, key=lambda arrow: _sort_key(arrow[0]))
+                    sorted(twisted, key=lambda arrow: arrow[0])
                 )
     return {y: arrows_at[y] for y in elements}
 
@@ -793,15 +803,17 @@ def quotient_graph(sc: SCSet) -> QuotientGraph:
     """The orbit quotient of an SC set, from its recorded orbits and
     arrows."""
     position = {orbit._key: i for i, orbit in enumerate(sc.orbits)}
-    labels: dict[tuple[int, int], set[int]] = {}
+    labels: dict[tuple[int, int], int] = {}
     for i, orbit in enumerate(sc.orbits):
         for s, target in zip(orbit._labels, orbit._targets):
             j = position[target]
-            if j == i:
-                continue  # not a useful arrow
-            labels.setdefault((min(i, j), max(i, j)), set()).add(s)
+            if j != i:  # a useful arrow
+                edge = (i, j) if i < j else (j, i)
+                labels[edge] = labels.get(edge, 0) | 1 << s
     return QuotientGraph(
         orbits=sc.orbits,
         edges=tuple(sorted(labels)),
-        edge_labels={k: tuple(sorted(v, key=_sort_key)) for k, v in labels.items()},
+        edge_labels={
+            e: tuple(s for s in PROPER_SIMPLES if b >> s & 1) for e, b in labels.items()
+        },
     )

@@ -114,14 +114,6 @@ class ClassicalNF(namedtuple("ClassicalNF", "power perms", defaults=(0, ()))):
         return self.power == 0 and not self.perms
 
     @property
-    def inf(self) -> int:
-        return self.power
-
-    @property
-    def sup(self) -> int:
-        return self.power + len(self.perms)
-
-    @property
     def canonical_length(self) -> int:
         return len(self.perms)
 

@@ -236,6 +236,37 @@ def test_cap_stops_a_cycling_walk_before_its_twists(monkeypatch):
         assert len(steps) == walked, cap
 
 
+def test_search_cycles_only_to_close_walks(monkeypatch):
+    # Counted, not timed: the search conjugates once per arrow candidate it
+    # tests and cycles only to walk non-rigid orbits.  The arrow iota(y)
+    # leads to the cycling c(y), which its orbit holds, so its target is
+    # never built: SC(beta_k) takes no cycling step, and a non-rigid set
+    # whose representative has that arrow takes one per step of its walks.
+    counts = Counter()
+    cycle, conjugate_factors = circuits._cycle_factors, circuits._conjugate_factors
+
+    def counting_cycle(power, factors):
+        counts["cycle"] += 1
+        return cycle(power, factors)
+
+    def counting_conjugate(power, factors, s):
+        counts["conjugate"] += 1
+        return conjugate_factors(power, factors, s)
+
+    monkeypatch.setattr(circuits, "_cycle_factors", counting_cycle)
+    monkeypatch.setattr(circuits, "_conjugate_factors", counting_conjugate)
+    for k in range(1, 5):
+        counts.clear()
+        compute_sc(beta_braid(k))
+        assert counts == {"conjugate": 7 * k + 4}, k
+    counts.clear()
+    sc = compute_sc(GarsideBraid(1, (N,)))
+    (orbit,) = sc.orbits
+    rep = orbit.representative
+    assert not sc.rigid and TAU_POWER[-rep.power % 4][rep.factors[0]] in orbit._labels
+    assert counts["cycle"] == len(orbit._walk) == 4
+
+
 def test_find_conjugator_exits_early(monkeypatch):
     # The solver's search reads the orbits as they are closed and stops at
     # the first that holds its target, with the conjugator the complete set
@@ -303,8 +334,9 @@ def test_arrows_are_arrows_and_minimal():
 def test_arrows_on_every_short_braid():
     # Small scope: every left normal form of canonical length 0..3 at delta
     # powers 0..3.  At each orbit representative of each class, the arrow
-    # kernel (candidate table, iota target read off cycling) and the arrows
-    # the search recorded agree with the brute force, targets included.
+    # kernel (candidate table; iota's target, which it leaves unbuilt, read
+    # off cycling here) and the arrows the search recorded agree with the
+    # brute force, targets included.
     classes: dict[GarsideBraid, int] = {}
     braids = 0
     for p in range(4):
@@ -324,8 +356,13 @@ def test_arrows_on_every_short_braid():
                 for orbit in sc.orbits:
                     y = orbit.representative
                     minimal = _minimal_arrows_by_brute_force(y, members)
-                    kernel = circuits._arrows(y.power, y.factors, in_sc)
-                    found = [(s, GarsideBraid(y.power, t)) for s, t in kernel]
+                    found = []
+                    for s, t in circuits._arrows(y.power, y.factors, in_sc):
+                        q = y.power
+                        if t is None:  # iota(y), whose target is c(y)
+                            extra, t = circuits._cycle_factors(q, y.factors)
+                            q += extra
+                        found.append((s, GarsideBraid(q, t)))
                     assert found == minimal, y
                     assert orbit._labels == tuple(s for s, _ in minimal), y
     assert (braids, len(classes), sum(classes.values())) == (1828, 128, 141)
@@ -412,24 +449,30 @@ def test_single_lookups_agree_with_iteration(x):
 def test_arrow_target_with_another_power_is_an_error(monkeypatch):
     # An arrow never changes the power inside SC; if one did, the search
     # must stop rather than take the target for a new element.  The arrow
-    # tests conjugate through `_conjugate_factors`, and read the target of
-    # iota(y) off `_cycle_factors`; here every candidate target gets one
-    # more delta.
+    # tests conjugate through `_conjugate_factors`; here every candidate
+    # target gets four more deltas, which keeps it rigid (tau^4 = 1), so
+    # that the membership test passes it on to the power check.
+    sc = compute_sc(beta_braid(1))
     conjugate_factors = circuits._conjugate_factors
     cycle_factors = circuits._cycle_factors
 
     def shifted(p, factors, s):
         q, target = conjugate_factors(p, factors, s)
-        return q + 1, target
+        return q + 4, target
 
     def shifted_cycle(p, factors):
         extra, target = cycle_factors(p, factors)
         return extra + 1, target
 
-    monkeypatch.setattr(circuits, "_conjugate_factors", shifted)
+    with monkeypatch.context() as patch:
+        patch.setattr(circuits, "_conjugate_factors", shifted)
+        with pytest.raises(RuntimeError, match="power"):
+            compute_sc(beta_braid(1))
+    # The search never builds iota's target; the circuit graph reads it off
+    # `_cycle_factors` and checks its power too.
     monkeypatch.setattr(circuits, "_cycle_factors", shifted_cycle)
-    with pytest.raises(RuntimeError, match="power"):
-        compute_sc(beta_braid(1))
+    with pytest.raises(RuntimeError, match="arrow a.* leaves the power"):
+        circuit_graph(sc)
 
 
 def test_search_builds_no_braid_per_arrow_candidate(monkeypatch):

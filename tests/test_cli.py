@@ -345,6 +345,19 @@ def test_argparse_errors_json(capsys):
     assert err.endswith("bkl4: error: unrecognized arguments: --bogus\n")
 
 
+def test_double_dash_ends_the_options(capsys):
+    # After `--` every word is an argument: `--json` there is a braid word
+    # that does not parse, and does not ask for JSON output.
+    code, out, err = run(capsys, "nf", "--", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error") and "'--json'" in err
+    # A `--json` before the `--` still asks for one JSON document.
+    code, out, err = run(capsys, "nf", "--json", "--", "a12")
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["nf"] == "d^0 . a12"
+
+
 def test_parser_is_reused_across_calls(capsys):
     import bkl4.cli
 

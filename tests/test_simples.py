@@ -299,3 +299,9 @@ def test_tables_and_factors_are_exact_ints():
     # Members passed in come back as ints, a lone one too.
     braids += [braid_from_factors(0, [Simple.A12]), braid_from_factors(0, [Simple.A12] * 2)]
     assert all(type(f) is int for b in braids for f in b.factors)
+
+
+def test_canonical_order_is_weight_order():
+    # Arrows and their candidates are listed in (weight, index) order, which
+    # `bkl4.circuits` gets by sorting simples by value.
+    assert sorted(Simple, key=lambda s: (WEIGHT[s], s)) == list(Simple)
