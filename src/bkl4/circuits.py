@@ -85,9 +85,11 @@ when it is asked for: the seed's conjugator, times the initial factors of
 the first j cycling steps from the seed, times delta^k, for the smallest
 (j, k) with tau^k(c^j(seed)) the member.  One generator, `_orbits`, yields
 the orbits as the search closes them, so the search doubles as a
-conjugacy-certificate finder: the solver stops at the first orbit that
-holds its target, and `compute_sc` reads every orbit, after which
-`SCSet.conjugators()` builds every member's conjugator in search order.
+conjugacy-certificate finder: `compute_sc` reads every orbit, after which
+`SCSet.conjugators()` builds every member's conjugator in search order,
+and the solver's `_find_conjugator` reads SC(x) and SC(y) in turn, each
+for the other's circuit representative, and stops at the first orbit that
+holds its target or the first set that is complete without it.
 Apart from the sliding walk it starts from, the search builds no braid
 object: a braid is built only for an element or a conjugator that is asked
 for.
@@ -103,11 +105,14 @@ The search size is capped by a `cap` argument (default 10**6 elements).
 The search raises CapExceededError, rather than silently truncating, once
 the orbits closed so far hold more than `cap` elements, or once a cycling
 walk outgrows what is left of the cap, before the walk's twists are built.
+The solver's two searches are capped one by one, and it raises only once
+both have outgrown the cap.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Container, Iterable, Iterator
+from itertools import chain, cycle
 
 from bkl4.engine import (
     Factors,
@@ -116,6 +121,7 @@ from bkl4.engine import (
     _conjugate_factors,
     _set,
     braid_from_factors,
+    invert,
     multiply,
     tau_braid,
 )
@@ -618,14 +624,17 @@ class SCSet(_Record):
         return {element: orbit._conjugator(m) for element, orbit, m in self._walk()}
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"cap must be a non-negative integer, not {cap}")
+
+
 def _orbits(entry: SlidingTrajectory, cap: int) -> Iterator[Orbit]:
     """The orbits of SC(x), searched from the sliding walk `entry` of x,
     each yielded as soon as it is closed, in search order; an orbit's arrows
     are tested after it is yielded.  Raises CapExceededError when the set
-    would exceed `cap` elements, and ValueError for a negative `cap`.
+    would exceed `cap` elements.
     """
-    if cap < 0:
-        raise ValueError(f"cap must be a non-negative integer, not {cap}")
     start = entry.representative
     power = start.power
     # {key: orbit} in a rigid class, else {factors of each member: orbit}.
@@ -677,6 +686,7 @@ def compute_sc(x: GarsideBraid, *, cap: int = DEFAULT_CAP) -> SCSet:
     Raises CapExceededError when the set would exceed `cap` elements, and
     ValueError for a negative `cap`.
     """
+    _check_cap(cap)
     entry = slide_to_circuit(x)
     found = tuple(_orbits(entry, cap))
     start = entry.representative
@@ -691,25 +701,53 @@ def compute_sc(x: GarsideBraid, *, cap: int = DEFAULT_CAP) -> SCSet:
 
 
 def _find_conjugator(
-    entry: SlidingTrajectory, y: GarsideBraid, cap: int
+    tx: SlidingTrajectory, ty: SlidingTrajectory, cap: int
 ) -> GarsideBraid | None:
-    """z with x^z = y, x the start of the sliding walk `entry`, read off the
-    first orbit of SC(x) that holds y; None if SC(x) does not.
+    """z with y^z = x, x and y the starts of the sliding walks tx and ty;
+    None if SC(x) and SC(y) are disjoint, so that x and y are not conjugate.
 
-    The search stops once that orbit is closed.  It runs to the end for a y
-    with another power or canonical length than SC's, which no orbit holds,
-    so the cap applies as to `compute_sc`.
+    All elements of an SC set share the power and the canonical length, and
+    in a class with a rigid element SC is the set of its rigid conjugates,
+    so circuit representatives rx and ry that differ in any of the three
+    decide before any orbit is closed.  Otherwise two searches run in turn,
+    one orbit at a time: SC(x) for ry, and SC(y) for rx one orbit behind, so
+    that a one-orbit SC(x) is complete before SC(y)'s search starts.  The
+    first orbit that holds its target decides, and so does the first set
+    that is complete without it.  Each search is capped on its own: one that
+    outgrows `cap` stops, and CapExceededError is raised once both have.
+    Raises ValueError for a negative `cap`.
     """
-    start = entry.representative
-    fits = y.power == start.power and len(y.factors) == len(start.factors)
-    for orbit in _orbits(entry, cap):
-        if fits and orbit._holds(member := orbit._member(y.factors)):
-            break
-    else:
+    _check_cap(cap)
+    rx, ry = tx.representative, ty.representative
+    rigid = is_rigid(rx)
+    if (rx.power, len(rx.factors), rigid) != (ry.power, len(ry.factors), is_rigid(ry)):
         return None
-    # Leaving the loop frees the search's index and membership memo before
+    kind = _RigidOrbit if rigid else _CyclingOrbit
+    targets = (kind._member(ry.factors), kind._member(rx.factors))
+    searches = [_orbits(tx, cap), _orbits(ty, cap)]
+    for side in chain((0,), cycle((0, 1))):  # x, x, y, x, y, ...
+        search = searches[side]
+        if search is None:  # this side outgrew the cap
+            continue
+        try:
+            orbit = next(search, None)
+        except CapExceededError:
+            if searches[1 - side] is None:
+                raise
+            searches[side] = None
+            continue
+        if orbit is None:
+            return None
+        if orbit._holds(targets[side]):
+            break
+    # Dropping the searches frees their indexes and membership memos before
     # the conjugator is built, so that the two do not add up.
-    return orbit._conjugator(member)
+    del searches, search
+    g = orbit._conjugator(targets[side])
+    if side == 0:  # x^g = ry = y^zy, so x = y^(zy g^-1)
+        return multiply(ty.accumulated_conjugator, invert(g))
+    # y^g = rx = x^zx, so x = y^(g zx^-1)
+    return multiply(g, invert(tx.accumulated_conjugator))
 
 
 def circuit_graph(

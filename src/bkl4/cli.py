@@ -24,10 +24,11 @@ never an answer).
 All output is UTF-8 text.  `--json` (and `--graph json`, `--quotient json`)
 emits exactly one JSON document on stdout, failures included: a parse or
 usage error (argparse's included: an unknown flag, a missing argument, a
-bad choice; and `--json` with a DOT mode) is {"outcome": "error",
-"reason": "parse-error" | "usage", "message": ...}, a search over the cap
-is {"outcome": "inconclusive", "reason": "cap-exceeded", ...}, and an
-internal error is {"outcome": "error", "reason": "internal-error", ...}.
+bad choice; and a DOT mode with `--json` or a JSON mode, as in `--graph
+json --graph dot`) is {"outcome": "error", "reason": "parse-error" |
+"usage", "message": ...}, a search over the cap is {"outcome":
+"inconclusive", "reason": "cap-exceeded", ...}, and an internal error is
+{"outcome": "error", "reason": "internal-error", ...}.
 Graph output is graphviz-compatible DOT: vertices are labeled with compact
 normal forms, edges with the arrow names that induce them, and quotient
 vertices carry their orbit member counts.
@@ -244,9 +245,6 @@ def _json_quotient(sc: SCSet) -> dict:
 
 
 def cmd_sc(args: argparse.Namespace) -> int:
-    if args.json and "dot" in (args.graph, args.quotient):
-        message = "bkl4 sc: error: argument --json: not allowed with DOT output"
-        raise _CliError(EXIT_USAGE, "usage", message)
     x = _parse(args.word)
     sc = _compute_sc(x, _cap(args.cap))
     if args.graph is not None:
@@ -411,6 +409,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _main(argv: list[str]) -> int:
     try:
         args = _parser().parse_args(argv)
+        # argparse keeps the last of repeated mode flags, so `--graph json
+        # --graph dot` parses as DOT although argv asks for JSON.
+        modes = (getattr(args, "graph", None), getattr(args, "quotient", None))
+        if "dot" in modes and _json_output(argv):
+            message = (
+                "bkl4 sc: error: DOT output is not allowed with --json,"
+                " --graph json or --quotient json"
+            )
+            raise _CliError(EXIT_USAGE, "usage", message)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

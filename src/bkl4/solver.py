@@ -10,28 +10,33 @@ are, produces a verified certificate z with x = z^-1 y z.  The strategy:
      rx and ry — all conjugacy invariants, so any mismatch is a sound
      NotConjugate.  rx and ry are mostly much shorter than the presented
      braids, so periodicity is tested on them.
-  2. General path: search SC(x) one tau/cycling orbit at a time from rx,
-     starting from the sliding walk of x that step 1 took.  The orbits come
-     from the search behind `compute_sc`, read one at a time, and the
-     search stops as soon as the orbit holding ry is closed.  SC is a
-     complete invariant: if the full set is enumerated without meeting ry,
-     the braids are not conjugate.  When the class has a rigid conjugate
-     this search tests membership by rigidity alone and is fast; otherwise
-     by memoized sliding walks.  The search's conjugators run from x, so
-     with y^zy = ry and x^g = ry (g read off the orbit that held ry) the
-     certificate is zy g^-1.
+  2. General path: in a class with a rigid element, SC is the set of its
+     rigid conjugates (Gebhardt and Gonzalez-Meneses, Math. Z. 2010), so
+     SC(x) and SC(y) are disjoint when exactly one of rx, ry is rigid.
+     Otherwise two searches run in turn, one tau/cycling orbit at a time:
+     SC(x) from rx for ry, and SC(y) from ry for rx one orbit behind, so
+     that a one-orbit SC(x) is complete before SC(y)'s search starts.  Each
+     starts from the sliding walk step 1 took and reads the orbits from the
+     search behind `compute_sc`.  The first orbit that holds its target
+     decides, and so does the first set found complete without it: SC is a
+     complete invariant.  When the class has a rigid conjugate a search
+     tests membership by rigidity alone and is fast; otherwise by memoized
+     sliding walks.  The conjugators run from x and from y, so with
+     x^zx = rx and y^zy = ry, a hit x^g = ry gives the certificate
+     zy g^-1, and a hit y^h = rx gives h zx^-1.
   3. Optional pseudo-Anosov powering path (`assume_pa=True`): find the
      smallest i <= 26 making x^i (resp. y^j) conjugate to a rigid braid,
-     raise both to s = lcm(i, j), and search the small rigid set
-     SC(y-power) instead.  A certificate for the powers plus root uniqueness
-     gives a certificate for x and y; the result is verified and, if
-     verification fails (the input was not pseudo-Anosov after all), the
-     solver silently falls back to the general path, so a wrong answer is
-     never returned.
+     raise both to s = lcm(i, j), and search the small rigid SC sets of
+     the two powers instead, as in step 2.  A certificate for the powers
+     plus root uniqueness gives a certificate for x and y; the result is
+     verified and, if verification fails (the input was not pseudo-Anosov
+     after all), the solver silently falls back to the general path, so a
+     wrong answer is never returned.
 
 Every Conjugate decision carries a certificate that has been re-verified by
-direct conjugation.  A search that outgrows the cap yields Inconclusive
-('cap-exceeded') rather than a guess.
+direct conjugation.  The cap bounds each of the two searches on its own:
+one that outgrows it stops, and the answer is Inconclusive ('cap-exceeded')
+rather than a guess only when both have stopped.
 
 Periodicity in this group: x is periodic iff x^3 or x^4 is a delta power
 (canonical length 0); a rigid braid never is.
@@ -166,18 +171,15 @@ def _search(
     ty: SlidingTrajectory,
     cap: int,
 ) -> SolverDecision:
-    """General path: hunt y's circuit representative inside SC(x), from the
-    sliding walk of x."""
+    """General path: search SC(x) for y's circuit representative and SC(y)
+    for x's, from the sliding walks of x and y."""
     try:
-        g = _find_conjugator(tx, ty.representative, cap)
+        z = _find_conjugator(tx, ty, cap)
     except CapExceededError:
         return SolverDecision(INCONCLUSIVE, reason="cap-exceeded")
-    if g is None:
+    if z is None:
         return SolverDecision(NOT_CONJUGATE, reason="disjoint-SC")
-    # x^g = ry = y^zy, so x = y^(zy g^-1).
-    return _conjugate_decision(
-        x, y, multiply(ty.accumulated_conjugator, invert(g)), "general"
-    )
+    return _conjugate_decision(x, y, z, "general")
 
 
 def solve_conjugacy(
@@ -189,8 +191,9 @@ def solve_conjugacy(
 ) -> SolverDecision:
     """Decide conjugacy of x and y; produce a verified certificate if so.
 
-    `cap` bounds the SC search as in `compute_sc`: a search past it is
-    'inconclusive', and one with a negative `cap` raises ValueError.
+    `cap` bounds each of the two SC searches as in `compute_sc`: the answer
+    is 'inconclusive' when both outgrow it, and a negative `cap` raises
+    ValueError.
     """
     if x == y:
         return _conjugate_decision(x, y, IDENTITY, "identical")
@@ -200,22 +203,20 @@ def solve_conjugacy(
     tx, ty = slide_to_circuit(x), slide_to_circuit(y)
     rx, ry = tx.representative, ty.representative
     periodic = is_periodic(rx)
-    mismatch = SolverDecision(
-        NOT_CONJUGATE, reason="type-mismatch", periodic=periodic, path="type"
-    )
-    if periodic != is_periodic(ry):
-        return mismatch
     irx, iry = invariants(rx), invariants(ry)
-    if (irx.inf, irx.sup, irx.k1, irx.k2) != (iry.inf, iry.sup, iry.k1, iry.k2):
-        return mismatch
+    data = (irx.inf, irx.sup, irx.k1, irx.k2)
+    if periodic != is_periodic(ry) or data != (iry.inf, iry.sup, iry.k1, iry.k2):
+        return SolverDecision(
+            NOT_CONJUGATE, reason="type-mismatch", periodic=periodic, path="type"
+        )
     decision = None
     if assume_pa and not (is_rigid(rx) and is_rigid(ry)):
         decision = _solve_by_powering(x, y, cap)
     if decision is None:
         decision = _search(x, y, tx, ty, cap)
-    return SolverDecision(
-        decision.outcome, decision.certificate, decision.reason, periodic, decision.path
-    )
+    # Each path returns a new decision, so it is completed in place.
+    _set(decision, "periodic", periodic)
+    return decision
 
 
 def _solve_by_powering(
@@ -232,7 +233,7 @@ def _solve_by_powering(
     xs = conjugate(power(x, s), z1)  # rigid: a power of the rigid conjugate
     ys = conjugate(power(y, s), z2)
     try:
-        c = _find_conjugator(slide_to_circuit(ys), xs, cap)
+        c = _find_conjugator(slide_to_circuit(xs), slide_to_circuit(ys), cap)
     except CapExceededError:
         return SolverDecision(INCONCLUSIVE, reason="cap-exceeded", path="powering")
     if c is None:

@@ -4,7 +4,8 @@ and the bridge to classical Artin generators.
 `random_braid` draws a normal form factor by factor from the successor
 table `FOLLOWS`, so it needs no normalization; `rigid_braid` draws until
 one is rigid; `beta_braid` parses the beta_k word of
-`bkl4.words.beta_word`.
+`bkl4.words.beta_word`, and `beta_swap` pairs it with a braid of another
+class that the solver's prefilters do not tell apart from it.
 
 `to_artin_letters` spells a signed band-generator word in the classical
 generators (1, 2, 3 meaning sigma1, sigma2, sigma3; negatives are inverses)
@@ -74,6 +75,17 @@ def beta_braid(k: int) -> GarsideBraid:
     return parse_braid(beta_word(k))
 
 
+def beta_swap(k: int) -> tuple[GarsideBraid, GarsideBraid]:
+    """beta_k and beta_k with its factors 3 and n - 7 swapped (n factors):
+    for k >= 3 the two share their circuit data but not their class, and
+    SC of the swap has 2 orbits against 3k + 2 for beta_k."""
+    x = beta_braid(k)
+    factors = list(x.factors)
+    n = len(factors)
+    factors[3], factors[n - 7] = factors[n - 7], factors[3]
+    return x, braid_from_factors(0, factors)
+
+
 _ARTIN_ATOM: dict[Simple, tuple[int, ...]] = {
     Simple.A12: (1,),
     Simple.A23: (2,),
@@ -85,14 +97,16 @@ _ARTIN_ATOM: dict[Simple, tuple[int, ...]] = {
 
 
 # A class for each orbit shape, for the cap boundary tests: (word, |SC|,
-# a braid with the same circuit invariants that is not conjugate to it, so
-# that the solver reads all of SC(word)).  beta_1 is rigid; the others have
-# cycling orbits that are m = 1, 2 and 4 tau twists of their walk.
+# a braid with the same circuit invariants and rigidity and an SC set of the
+# same size that is not conjugate to it, so that the solver reads all of
+# SC(word) or all of the other set, and a cap of |SC| - 1 stops both).
+# beta_1 is rigid; the others have cycling orbits that are m = 1, 2 and 4
+# tau twists of their walk.
 CAP_CLASSES = (
     (beta_word(1), 160, "d^0 . a34 . a23 . a12 . a12 . a14 . a24 . a13 . a14"),
-    ("s1.s2.s3^3.s2^-1.s1^-3", 60, "d^-2 . p14-23 . p14-23 . a24 . a12 . a14"),
-    ("a12^3.a23^-3", 72, "d^-3 . p14-23 . c124 . a12 . a13 . p14-23 . a12"),
-    ("s1^4.s2^-4", 96, "d^-4 . c123 . c123 . p14-23 . c234 . a12 . a13 . a23 . a12"),
+    ("s1.s2.s3^3.s2^-1.s1^-3", 60, "d^-2 . c134 . c234 . a34 . a13 . a13"),
+    ("a12^3.a23^-3", 72, "d^-3 . c124 . c134 . c234 . a24 . a12 . a12"),
+    ("s1^4.s2^-4", 96, "d^-4 . c134 . c234 . c123 . c124 . a24 . a24 . a34 . a34"),
 )
 
 

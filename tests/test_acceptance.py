@@ -16,6 +16,7 @@ import pytest
 from bkl4.circuits import (
     DEFAULT_CAP,
     _find_conjugator,
+    _orbits,
     circuit_graph,
     compute_sc,
     quotient_graph,
@@ -43,7 +44,7 @@ from bkl4.simples import (
 )
 from bkl4.sliding import _slide, is_rigid, slide_to_circuit
 from bkl4.solver import CONJUGATE, NOT_CONJUGATE, solve_conjugacy, verify_certificate
-from braids import beta_braid, random_braid, to_artin_letters
+from braids import beta_braid, beta_swap, random_braid, to_artin_letters
 from reference_sc import reference_quotient, reference_sc
 
 # ---------------------------------------------------------------------------
@@ -374,36 +375,33 @@ def test_12_quadratic_sc_bound(beta_sc):
 
 
 # ---------------------------------------------------------------------------
-# 13. Full enumeration below cubic time: beta_k against a swap of two of its
-#     factors, which is not conjugate to it but passes every prefilter, so
-#     the solver searches all of SC ('disjoint-SC'), for canonical length 29
-#     to 101.  Log-log slope of the time against the length <= 2.5.
+# 13. Full enumeration below cubic time: SC(beta_k) for canonical length 29
+#     to 101, log-log slope of the time against the length <= 2.5.  A swap
+#     of two of beta_k's factors is not conjugate to it but passes every
+#     prefilter, so the solver answers 'disjoint-SC' from the complete set of
+#     the swap, whose 2 orbits it reads before SC(beta_k) is complete.
 
 
 def test_13_full_enumeration_scaling():
     lengths = []
     times = []
     for k in range(8, 33, 4):
-        x = beta_braid(k)
-        factors = list(x.factors)
-        n = len(factors)
-        factors[3], factors[n - 7] = factors[n - 7], factors[3]
-        y = braid_from_factors(0, factors)
+        x, y = beta_swap(k)
+        decision = solve_conjugacy(x, y)
+        assert (decision.outcome, decision.reason) == (NOT_CONJUGATE, "disjoint-SC")
         samples = []
         for _ in range(3):
             start = time.process_time()
-            decision = solve_conjugacy(x, y)
+            compute_sc(x)
             samples.append(time.process_time() - start)
-            assert (decision.outcome, decision.reason) == (NOT_CONJUGATE, "disjoint-SC")
-        lengths.append(math.log(n))
+        lengths.append(math.log(x.canonical_length))
         times.append(math.log(max(min(samples), 1e-9)))
     mean_l = sum(lengths) / len(lengths)
     mean_t = sum(times) / len(times)
     slope = sum(
         (a - mean_l) * (b - mean_t) for a, b in zip(lengths, times)
     ) / sum((a - mean_l) ** 2 for a in lengths)
-    # The slope measured 1.3 to 2.1 in 25 runs on 2 cores, and 2.4 to 3.0
-    # when the search stored the factors of every element.
+    # The slope measured 1.15 to 1.53 in 8 runs on 2 cores.
     assert slope <= 2.5, f"observed slope {slope:.2f}"
 
 
@@ -431,7 +429,8 @@ def test_sc_search_matches_reference_on_acceptance_pools(random_sc_pool, beta_sc
 def test_sc_from_a_sliding_walk_matches_sc_from_its_start(random_sc_pool, beta_sc):
     # The solver searches SC from the sliding walk it has already taken and
     # stops at the orbit that holds its target: from that walk, each orbit's
-    # representative must get the conjugator the complete set gives it.
+    # representative must get the conjugator the complete set gives it, and
+    # the solver's search must certify every representative against the base.
     sets = [beta_sc[k][1] for k in range(1, 9)] + list(random_sc_pool)
     sets += [compute_sc(x) for x in _mixed_weight_rigid_braids(100)]
     sets += [compute_sc(_edge_form(r, ks)) for r, ks in _edge_cases()]
@@ -439,9 +438,12 @@ def test_sc_from_a_sliding_walk_matches_sc_from_its_start(random_sc_pool, beta_s
         walk = slide_to_circuit(sc.base)
         assert walk.representative == sc.representative
         conjugators = sc.conjugators()
+        for orbit in _orbits(walk, DEFAULT_CAP):
+            assert orbit._conjugator(orbit._key) == conjugators[orbit.representative]
         representatives = [orbit.representative for orbit in sc.orbits]
         for y in representatives:
-            assert _find_conjugator(walk, y, DEFAULT_CAP) == conjugators[y]
+            z = _find_conjugator(walk, slide_to_circuit(y), DEFAULT_CAP)
+            assert conjugate(y, z) == sc.base
         # Verifying every conjugator of beta_5..beta_8 takes about 20 s on a
         # 2-core VM; there each orbit's representative is verified.
         checked = representatives if sc.size > 1000 else sc.elements

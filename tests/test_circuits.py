@@ -26,6 +26,7 @@ from bkl4.engine import (
     GarsideBraid,
     braid_from_factors,
     conjugate,
+    invert,
     power,
 )
 from bkl4.simples import (
@@ -268,36 +269,40 @@ def test_search_cycles_only_to_close_walks(monkeypatch):
 
 
 def test_find_conjugator_exits_early(monkeypatch):
-    # The solver's search reads the orbits as they are closed and stops at
-    # the first that holds its target, with the conjugator the complete set
-    # gives that target.
-    y = GarsideBraid(0, (M, M))
-    walk = slide_to_circuit(y)
-    sc = compute_sc(y)
+    # The solver's search reads the orbits of SC(x) and SC(y) as they are
+    # closed, SC(y)'s one orbit behind, and stops at the first that holds its
+    # target.  A hit in SC(x) gives z = zy g^-1, g the conjugator the
+    # complete SC(x) gives ry; here y is its own circuit representative, so
+    # z is g^-1.
+    x = GarsideBraid(0, (M, M))
+    walk = slide_to_circuit(x)
+    sc = compute_sc(x)
     conjugators = sc.conjugators()
-    target = GarsideBraid(0, (W, W))
-    z = circuits._find_conjugator(walk, target, DEFAULT_CAP)
-    assert z == conjugators[target] and conjugate(y, z) == target
     closed = []
     search = circuits._orbits
 
     def counting(entry, cap):
         for orbit in search(entry, cap):
-            closed.append(orbit.size)
+            closed.append((entry is walk, orbit.size))
             yield orbit
 
     monkeypatch.setattr(circuits, "_orbits", counting)
-    # A target that seeds no orbit stops the search once its orbit is closed.
-    inner = GarsideBraid(0, (A, A))
-    z = circuits._find_conjugator(walk, inner, DEFAULT_CAP)
-    assert closed == [2] and z == conjugators[inner]
-    assert conjugate(y, z) == inner
-    # The search stops only at an element of the set's power: a member's
-    # factors at another power never stop it, and the whole set is searched.
-    closed.clear()
-    shifted = GarsideBraid(1, (W, W))
-    assert circuits._find_conjugator(walk, shifted, DEFAULT_CAP) is None
-    assert len(closed) == len(sc.orbits) and sum(closed) == sc.size == 6
+    # SC(a13^2) is {a13^2, a24^2} and the four other atom squares.  A target
+    # in the first orbit stops the search once that orbit is closed, and one
+    # in the second once SC(x)'s second orbit is, before SC(y)'s starts.
+    cases = ((GarsideBraid(0, (A, A)), [2]), (GarsideBraid(0, (W, W)), [2, 4]))
+    for y, orbits in cases:
+        closed.clear()
+        z = circuits._find_conjugator(walk, slide_to_circuit(y), DEFAULT_CAP)
+        assert closed == [(True, size) for size in orbits]
+        assert z == invert(conjugators[y]) and conjugate(y, z) == x
+    # A y at another power than SC(x)'s, or with a non-rigid circuit where
+    # SC(x) is rigid, is in no orbit of SC(x), and that is known before any
+    # orbit is closed.
+    for y in (GarsideBraid(1, (W, W)), GarsideBraid(0, (Simple.C123, S))):
+        closed.clear()
+        assert circuits._find_conjugator(walk, slide_to_circuit(y), DEFAULT_CAP) is None
+        assert closed == []
 
 
 def _minimal_arrows_by_brute_force(y: GarsideBraid, members: set) -> list:
@@ -495,7 +500,7 @@ def test_search_builds_no_braid_per_arrow_candidate(monkeypatch):
         sc = compute_sc(x)
         assert len(sc.orbits) > 1
         circuit_graph(sc)
-    target = GarsideBraid(0, (W, W))
+    target = slide_to_circuit(GarsideBraid(0, (W, W)))
     walk = slide_to_circuit(GarsideBraid(0, (M, M)))
     assert circuits._find_conjugator(walk, target, DEFAULT_CAP) is not None
 

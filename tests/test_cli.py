@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bkl4
@@ -560,6 +560,9 @@ def _argvs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=_argvs())
+# argparse keeps the last of repeated mode flags: these parse as DOT.
+@example(argv=["sc", "c234", "--graph", "json", "--graph", "dot"])
+@example(argv=["sc", "--quotient", "json", "c234", "--quotient", "dot"])
 def test_any_argv_exits_with_a_documented_code(argv):
     # Whatever the argv, main returns an exit code of the README table (4,
     # the internal error, never happens on inputs this small), and with JSON

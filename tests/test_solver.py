@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bkl4.circuits
 import bkl4.solver
-from bkl4.circuits import compute_sc
+from bkl4.circuits import DEFAULT_CAP, CapExceededError, compute_sc
 from bkl4.engine import (
     IDENTITY,
     GarsideBraid,
@@ -32,7 +33,14 @@ from bkl4.solver import (
     verify_certificate,
 )
 from bkl4.words import parse_braid
-from braids import RIGID_KINDS, beta_braid, random_braid, rigid_braid, to_artin_letters
+from braids import (
+    RIGID_KINDS,
+    beta_braid,
+    beta_swap,
+    random_braid,
+    rigid_braid,
+    to_artin_letters,
+)
 from reference_sc import reference_sc
 
 S, W, N, E, M, A = (
@@ -379,3 +387,116 @@ def test_search_decisions_agree_with_the_complete_sc(seed, nonrigid, w, reverse)
         return
     ry = slide_to_circuit(y).representative
     assert (ry in sc.elements) == (decision.outcome == CONJUGATE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    nonrigid=st.booleans(),
+    w=_braids,
+    reverse=st.booleans(),
+)
+def test_the_decision_does_not_depend_on_the_order_of_the_pair(
+    seed, nonrigid, w, reverse
+):
+    # The search runs from both braids, so swapping them may move the hit to
+    # the other side, but never changes the outcome or the reason.
+    x = _search_start(seed, nonrigid)
+    y = _reversed(x) if reverse else conjugate(x, w)
+    forward, backward = solve_conjugacy(x, y), solve_conjugacy(y, x)
+    assert (forward.outcome, forward.reason) == (backward.outcome, backward.reason)
+    for decision in (forward, backward):
+        if decision.outcome == CONJUGATE:
+            assert verify_certificate(decision.certificate)
+
+
+# The two-sided search, counted: the orbits each side closes.
+
+
+@pytest.fixture
+def closed(monkeypatch):
+    """The orbits the solver's searches close, in order, as (the braid the
+    search starts from, orbit size)."""
+    log = []
+    search = bkl4.circuits._orbits
+
+    def counting(entry, cap):
+        for orbit in search(entry, cap):
+            log.append((entry.steps[0], orbit.size))
+            yield orbit
+
+    monkeypatch.setattr(bkl4.circuits, "_orbits", counting)
+    return log
+
+
+def _count(log, start) -> int:
+    return sum(s == start for s, _ in log)
+
+
+def test_a_beta_swap_is_decided_by_the_swaps_two_orbits(closed):
+    # SC(beta_k) has 3k + 2 orbits and SC of the swap 2.  SC(y)'s search
+    # runs one orbit behind SC(x)'s (x1, x2, y1, x3, y2, ...), so it is
+    # complete once it finds no orbit after its last, by which time SC(x)'s
+    # has closed 2 orbits more than SC(y)'s.
+    for k in (8, 16, 32):
+        x, y = beta_swap(k)
+        orbits = len(compute_sc(y).orbits)
+        assert orbits == 2
+        closed.clear()
+        decision = solve_conjugacy(x, y)
+        assert (decision.outcome, decision.reason) == (NOT_CONJUGATE, "disjoint-SC")
+        assert (_count(closed, x), _count(closed, y)) == (orbits + 2, orbits), k
+
+
+def test_a_one_orbit_set_decides_from_either_side(closed):
+    # Two non-rigid classes with the same circuit data: SC(one) is one orbit
+    # of 36 elements, SC(many) four orbits of 12.  As x, SC(one) is complete
+    # before SC(many)'s search starts; as y, it is complete once SC(many)'s
+    # search has closed 3 of its 4 orbits.
+    one, many = parse_braid("c124.a12.a12.a13.a24"), parse_braid("c234.a34.a34.a23.a24")
+    assert [o.size for o in compute_sc(many).orbits] == [12] * 4
+    closed.clear()
+    decision = solve_conjugacy(one, many)
+    assert (decision.outcome, decision.reason) == (NOT_CONJUGATE, "disjoint-SC")
+    assert closed == [(one, 36)]
+    closed.clear()
+    decision = solve_conjugacy(many, one)
+    assert (decision.outcome, decision.reason) == (NOT_CONJUGATE, "disjoint-SC")
+    assert closed == [(many, 12), (many, 12), (one, 36), (many, 12)]
+
+
+def test_a_rigid_and_a_non_rigid_circuit_close_no_orbit(closed):
+    # In a class with a rigid element SC is the set of its rigid conjugates,
+    # so a rigid and a non-rigid circuit representative are never conjugate.
+    # These two pass the prefilters (the same circuit inf, sup, k1 and k2).
+    x, y = parse_braid("a23.a12.a13.a24"), parse_braid("c234.a13.a23")
+    rx, ry = slide_to_circuit(x).representative, slide_to_circuit(y).representative
+    assert is_rigid(rx) and not is_rigid(ry)
+    for a, b in ((x, y), (y, x)):
+        decision = solve_conjugacy(a, b)
+        assert (decision.outcome, decision.reason) == (NOT_CONJUGATE, "disjoint-SC")
+        assert decision.path == "general"
+    assert closed == []
+
+
+def test_a_swap_of_a_long_beta_is_decided_under_the_default_cap():
+    # SC(beta_170) has 4 (3k + 2)(3k + 5) = 1,054,720 elements (test 1 of
+    # the acceptance suite), over the default cap; SC of the swap decides.
+    x, y = beta_swap(170)
+    with pytest.raises(CapExceededError):
+        compute_sc(x)
+    decision = solve_conjugacy(x, y, cap=DEFAULT_CAP)
+    assert (decision.outcome, decision.reason) == (NOT_CONJUGATE, "disjoint-SC")
+
+
+def test_a_certificate_from_the_second_braids_set(closed):
+    # Two elements of SC(beta_1), which has 5 orbits: y's search finds rx in
+    # its third orbit before x's finds ry in its fifth, and the certificate
+    # comes from the y side, z = h zx^-1 with y^h = rx and x^zx = rx.
+    x = parse_braid("a12.a12.a14.a34.a23.a12.a13.a24")
+    y = parse_braid("a12.a14.a34.a13.a24.a34.a23.a24")
+    decision = solve_conjugacy(x, y)
+    assert decision.outcome == CONJUGATE and decision.path == "general"
+    assert verify_certificate(decision.certificate)
+    assert (_count(closed, x), _count(closed, y)) == (4, 3)
+    assert closed[-1][0] == y
