@@ -60,17 +60,13 @@ of x), at the shared power:
     conjugates, so membership testing degenerates to a rigidity check on
     the target's factors;
     otherwise a candidate is tested by sliding it, with a memo kept for the
-    whole search.  Two sets of (power, factors) tuples are kept: `inside`
-    holds whole sliding circuits only (the start's circuit, from the walk
-    that finds the start, and the circuit closed by every later walk),
-    `outside` the later walks' pre-periodic tails.  A candidate in either set
-    is answered at once, and a walk that reaches either set at step 1 or later
-    shows that the candidate is not in SC(x): a periodic point's walk is its
-    own circuit, which would already be in `inside` with the candidate in it.
-    So cycling and tau images of members must not go into `inside`: their
-    circuits are not recorded.  A candidate that is a member of an orbit
-    closed so far (the search's index holds its factors) is answered at
-    once without a walk, and it never enters `inside` either.
+    whole search: the set of (power, factors) tuples of the whole sliding
+    circuits met so far (the start's circuit, from the walk that finds the
+    start, and the circuit closed by every later walk).  A candidate on a
+    known circuit is answered at once, and a walk that reaches one at step 1
+    or later shows that the candidate is not in SC(x): a periodic point's
+    walk is its own circuit, and as only whole circuits are recorded, that
+    circuit would already be known with the candidate in it.
   * Arrows are tested once per orbit, at its canonical representative (the
     member with the smallest factors, read off the orbit's key).  Cycling
     and tau carry the arrows of one member to the arrows of any other, so
@@ -111,7 +107,7 @@ both have outgrown the cap.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Container, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, cycle
 
 from bkl4.engine import (
@@ -175,45 +171,31 @@ class CapExceededError(RuntimeError):
 
 def _membership(
     circuits: Iterable[tuple[int, Factors]],
-    power: int = 0,
-    closed: Container[Factors] = (),
 ) -> Callable[[int, Factors], bool]:
     """SC membership in a class with no rigid element, memoized.
 
-    Elements are (power, factors) tuples.  `circuits` must be a union of
-    whole sliding circuits of the class; `closed` holds factors of elements
-    of SC, all at SC's power `power` (the search's closed orbits, which grow
-    while it runs).  The returned test `member(p, factors)` answers at once
-    for an element of either, or one that an earlier walk showed to be
-    outside SC; otherwise it slides, and stops with False as soon as a step
-    lands on a known circuit or a known outsider.  Each walk adds its
-    circuit, if it closes one, to the circuits and the rest of it to the
-    outsiders; an element of `closed` is not added, as its circuit is not
-    known.
+    Elements are (power, factors) tuples, and `circuits` must be a union of
+    whole sliding circuits of the class.  The returned test
+    `member(p, factors)` answers at once for an element of a known circuit;
+    otherwise it slides, and stops with False as soon as a step lands on a
+    known circuit.  A walk that comes back to a step it took adds the
+    circuit it closes to the known ones.
     """
     inside = set(circuits)
-    outside: set[tuple[int, Factors]] = set()
 
     def member(p: int, factors: Factors) -> bool:
         y = (p, factors)
         if y in inside:
             return True
-        if y in outside:
-            return False
-        if p == power and factors in closed:
-            return True
         seen = {y: 0}  # the walk, in order
         while True:
             p, factors, _ = _slide(*y)
             y = (p, factors)
-            if y in inside or y in outside:
-                outside.update(seen)
+            if y in inside:
                 return False
             hit = seen.get(y)
             if hit is not None:
-                steps = list(seen)
-                inside.update(steps[hit:])
-                outside.update(steps[:hit])
+                inside.update(list(seen)[hit:])
                 return hit == 0
             seen[y] = len(seen)
 
@@ -645,7 +627,7 @@ def _orbits(entry: SlidingTrajectory, cap: int) -> Iterator[Orbit]:
     kind: type[Orbit] = _RigidOrbit
     if not is_rigid(start):
         c = entry.cycle_start
-        member = _membership(_raw(entry.steps[c:]), power, index)
+        member = _membership(_raw(entry.steps[c:]))
         kind = _CyclingOrbit
 
     def close(orbit: Orbit) -> Orbit:

@@ -246,8 +246,6 @@ def braid_from_letters(letters: Iterable[tuple[int, int]]) -> GarsideBraid:
     carry = 0
     twisted: list[int] = []
     for s, e in reversed(list(letters)):
-        if e == 0 or s == _ONE:
-            continue
         if s == _DELTA:
             carry += e
         elif e > 0:
@@ -267,9 +265,6 @@ def multiply(x: GarsideBraid, y: GarsideBraid) -> GarsideBraid:
     if not x.factors:
         return GarsideBraid(x.power + y.power, y.factors)
     q = y.power
-    if not y.factors:
-        tw = TAU_POWER[q % 4]
-        return GarsideBraid(x.power + q, tuple(tw[f] for f in x.factors))
     tw = TAU_POWER[q % 4]
     fs = [tw[f] for f in x.factors]
     if len(fs) == 1:
@@ -285,8 +280,6 @@ def invert(x: GarsideBraid) -> GarsideBraid:
     """The inverse x^-1, via the closed form (already left-weighted)."""
     p, fs = x.power, x.factors
     r = len(fs)
-    if not r:
-        return GarsideBraid(-p)
     comp = COMPLEMENT
     out = tuple(
         TAU_POWER[-(p + r + 1 - i) % 4][comp[fs[r - i]]] for i in range(1, r + 1)

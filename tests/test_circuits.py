@@ -122,6 +122,8 @@ def test_is_path_on_hand_built_graphs():
     # A triangle and an isolated vertex: n - 1 edges, degrees <= 2.
     assert not _graph(4, [(0, 1), (0, 2), (1, 2)]).is_path()
     assert not _graph(5, [(0, 1), (1, 2), (3, 4)]).is_path()  # two paths
+    # A cycle: connected, degrees <= 2, but n edges.
+    assert not _graph(3, [(0, 1), (1, 2), (0, 2)]).is_path()
     assert not _graph(2, []).is_path()
 
 
@@ -179,6 +181,7 @@ def test_cap_exceeded():
     with pytest.raises(CapExceededError) as info:
         compute_sc(beta_braid(1), cap=10)
     assert info.value.cap == 10
+    assert str(info.value) == "sliding circuit set exceeds cap of 10 elements"
 
 
 def test_cap_must_be_a_nonnegative_integer():

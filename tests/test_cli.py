@@ -119,9 +119,15 @@ def test_sc_graph_json(capsys):
 def test_sc_quotient_dot(capsys):
     code, out, err = run(capsys, "sc", "--quotient", "dot", "a13^2")
     assert code == 0
-    assert 'label="a12^2 (4)"' in out
-    assert 'label="a13^2 (2)"' in out
-    assert 'label="a12,a23,a34", dir=none' in out
+    assert out == "\n".join(
+        [
+            "digraph SCQ {",
+            '  n0 [label="a12^2 (4)"];',
+            '  n1 [label="a13^2 (2)"];',
+            '  n0 -> n1 [label="a12,a23,a34", dir=none];',
+            "}\n",
+        ]
+    )
 
 
 def test_sc_quotient_json_beta1(capsys):
@@ -563,10 +569,14 @@ def _argvs(draw):
 # argparse keeps the last of repeated mode flags: these parse as DOT.
 @example(argv=["sc", "c234", "--graph", "json", "--graph", "dot"])
 @example(argv=["sc", "--quotient", "json", "c234", "--quotient", "dot"])
+# A lone "-" is a word, not a flag that could ask for JSON.
+@example(argv=["nf", "-"])
 def test_any_argv_exits_with_a_documented_code(argv):
     # Whatever the argv, main returns an exit code of the README table (4,
-    # the internal error, never happens on inputs this small), and with JSON
-    # output asked for, stdout is exactly one JSON document.
+    # the internal error, never happens on inputs this small).  With JSON
+    # output asked for, stdout is exactly one JSON document; without, a
+    # usage or input error (exit 2) or an exceeded cap (exit 3) prints
+    # nothing on stdout.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -580,3 +590,5 @@ def test_any_argv_exits_with_a_documented_code(argv):
     if asks_json:
         assert out.endswith("\n") and out.count("\n") == 1, argv
         json.loads(out)
+    elif code in (2, 3):
+        assert out == "", argv

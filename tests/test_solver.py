@@ -68,6 +68,7 @@ def test_equal_braids_are_conjugate():
     assert decision.outcome == CONJUGATE
     assert decision.certificate.z == IDENTITY
     assert decision.path == "identical"
+    assert decision.periodic is None
 
 
 def test_lambda_mismatch_frozen():
@@ -76,6 +77,7 @@ def test_lambda_mismatch_frozen():
     assert decision.reason == "lambda-mismatch"
     assert decision.certificate is None
     assert decision.path == "lambda"
+    assert decision.periodic is None
 
 
 def test_type_mismatch_periodic_vs_not():
@@ -86,6 +88,11 @@ def test_type_mismatch_periodic_vs_not():
     assert decision.outcome == NOT_CONJUGATE
     assert decision.reason == "type-mismatch"
     assert decision.path == "type"
+    assert decision.periodic is False
+    # The other way round, x is the periodic one.
+    decision = solve_conjugacy(gamma, x)
+    assert decision.path == "type"
+    assert decision.periodic is True
 
 
 def test_type_mismatch_inf_sup():
@@ -96,6 +103,7 @@ def test_type_mismatch_inf_sup():
     assert decision.outcome == NOT_CONJUGATE
     assert decision.reason == "type-mismatch"
     assert decision.path == "type"
+    assert decision.periodic is False
 
 
 def test_disjoint_sc_frozen():
@@ -108,6 +116,16 @@ def test_disjoint_sc_frozen():
     assert decision.outcome == NOT_CONJUGATE
     assert decision.reason == "disjoint-SC"
     assert decision.path == "general"
+    assert decision.periodic is False
+
+
+def test_general_path_reports_periodicity():
+    # A periodic braid and a conjugate of it that differs from it.
+    gamma = braid_from_letters([(Simple.DELTA, 1), (S, 1)])
+    decision = solve_conjugacy(gamma, conjugate(gamma, GarsideBraid(0, (M,))))
+    assert decision.outcome == CONJUGATE
+    assert decision.path == "general"
+    assert decision.periodic is True
 
 
 def test_conjugate_pairs_random():

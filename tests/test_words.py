@@ -91,6 +91,7 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as info:
         parse_word("a12.a21")
     assert info.value.position == 4
+    assert str(info.value) == "unknown generator name 'a21' at position 4"
     with pytest.raises(ParseError) as info:
         parse_word("a12.^2")
     assert info.value.position == 4
