@@ -14,32 +14,36 @@ of x), at the shared power:
   * Each newly found element seeds an orbit: the cycling walk from the seed
     back to itself and its twists by tau, tau^2 and tau^3.  tau commutes
     with cycling, so each twist is the walk of tau^k(seed): either one
-    already in the orbit or disjoint from it.
-  * In a rigid class (see below) an orbit is indexed by one key, and no
-    member is stored.  Cycling a rigid element with factors x1 ... xr moves x1 to
-    the end as u(x1), u = tau^-p, and the result is rigid again.  So the
-    walk from a seed f is the set of length-r windows of the cyclic word
+    already in the orbit or disjoint from it.  An orbit is the m twists of
+    its walk that are new, spelled as bytes (a factor is an int below 14,
+    so each byte is one) and joined by a byte no simple uses into one
+    haystack for substring search; it has m*d members, d the walk's
+    length.  The set is one dict {key: orbit}, the key being the orbit's
+    least member.  An arrow target is looked for first in the orbit it
+    leaves and in that orbit's parent, and only the others are walked and
+    looked up by their key.  Members, elements and conjugators read
+    members off the haystack: a member's position j in the walk is a
+    `bytes.find`.  The two kinds of class differ only in how the walk is
+    spelled and the key found.
+  * In a rigid class (see below) no cycling step is taken.  Cycling a rigid
+    element with factors x1 ... xr moves x1 to the end as u(x1),
+    u = tau^-p, and the result is rigid again.  So the walk from a seed f
+    is the set of length-r windows of the cyclic word
     W = f . u(f) . u^2(f) . u^3(f) (tau^4 = 1).  Each letter of W is u of
     the one r places before it, so a window fixes all of W: the walk has
     d members, d the smallest rotation period of W, and two twists of W
-    either are rotations of each other or share no window.  The orbit keeps
-    the m twists of W that are not rotations of one another, as bytes (a
-    factor is an int below 14, so each byte is one), and has m*d members.
-    Each twist is cut to the d + r - 1 bytes of W . W where its windows
-    start; m*d is at most 4r, so the orbit takes fewer than 8r bytes.  Its
-    key is the least window over the words (its smallest member).  Every
-    substring of at most r letters of a cut word is a prefix of a window,
-    so the key's prefix grows by the least next letter, each found by
-    substring search, until it starts few windows, and only those are
-    compared (the least-rotation problem of Booth, 1980).  The
-    set is one dict {key: orbit}.  Joined by a byte no simple uses, the
-    words make one haystack for substring search: an arrow target is
-    looked for first in the orbit it leaves and in that orbit's parent, and
-    only the others get a key.
-    Members, elements and conjugators read windows off the words: a
-    member's position j in the walk is a `bytes.find`.
-  * In any other class cycling renormalizes, so an orbit keeps its members'
-    factor tuples, and the set is one dict {factors: orbit}.
+    either are rotations of each other or share no window.  Each twist is
+    cut to the d + r - 1 bytes of W . W where its windows start; m*d is at
+    most 4r, so the orbit takes fewer than 8r bytes.  Every substring of at
+    most r letters of a cut word is a prefix of a window, so the key's
+    prefix grows by the least next letter, each found by substring search,
+    until it starts few windows, and only those are compared (the
+    least-rotation problem of Booth, 1980).
+  * In any other class cycling renormalizes, so the walk is cycled step by
+    step and its members are spelled out one after another, joined by the
+    same byte.  The key is the least of them.  A target that
+    lies in a known orbit other than the one it leaves and that one's
+    parent costs a repeat walk, which the key then finds in the set.
   * An *arrow* at y in SC(x) is a nontrivial simple s with y^s in SC(x); it is
     *minimal* when the only prefixes t of s with y^t in SC(x) are 1 and s.
     Minimal arrows are always prefixes of iota(y) or complement(phi(y)), so
@@ -100,7 +104,9 @@ SC(x), so the arrows at tau^k(y) are the twists of the arrows at y.
 The search size is capped by a `cap` argument (default 10**6 elements).
 The search raises CapExceededError, rather than silently truncating, once
 the orbits closed so far hold more than `cap` elements, or once a cycling
-walk outgrows what is left of the cap, before the walk's twists are built.
+walk outgrows the cap, before the walk's twists are built.  A walk is
+bounded by the whole cap, not by what is left of it: a repeat walk of a
+known orbit may run after the set is full.
 The solver's two searches are capped one by one, and it raises only once
 both have outgrown the cap.
 """
@@ -151,9 +157,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10**6
-
-# How an orbit holds a member's factors: bytes in a rigid class, else a tuple.
-Member = bytes | Factors
 
 # _TWIST[k] translates bytes of simples by tau^k.
 _TWIST = tuple(bytes(row) + bytes(range(len(row), 256)) for row in TAU_POWER)
@@ -270,41 +273,108 @@ def _power_error(s: int, y: GarsideBraid, target: GarsideBraid) -> RuntimeError:
     return RuntimeError(f"arrow {name} at {y!r} leaves the power of SC: {target!r}")
 
 
+def _cyclic_word(power: int, seed: bytes) -> tuple[bytes, int]:
+    """The cyclic word W = f . u(f) . u^2(f) . u^3(f) of a rigid seed f at
+    `power` (u = tau^-power), cut to the first d + r - 1 bytes of W . W,
+    and its smallest rotation period d: the cut holds the length-r windows
+    that start before d, and nothing else."""
+    u = -power % 4
+    # Spelled out: a generator or a comprehension over range(4) costs about
+    # 1 us more per orbit.
+    word = b"".join(
+        [
+            seed,
+            seed.translate(_TWIST[u]),
+            seed.translate(_TWIST[2 * u % 4]),
+            seed.translate(_TWIST[3 * u % 4]),
+        ]
+    )
+    doubled = word + word
+    d = doubled.find(word, 1)
+    return doubled[: d + len(seed) - 1], d
+
+
+# Narrowing stops once the prefix occurs at most this many times; the
+# windows it starts are then compared.
+_FEW = 16
+
+
+def _least_window(haystack: bytes, r: int, d: int) -> bytes:
+    """The least length-r window that starts before d in any word of
+    `haystack` (cut words joined by 0xFF, see `Orbit`).
+
+    Each substring of a word of length r or less is a prefix of a window, so
+    the least window starts with the least letter, then with the least
+    letter that follows it in the haystack, and so on: the prefix grows one
+    letter at a time until it occurs at most `_FEW` times, and the windows
+    that start with it are compared.
+    """
+    prefix = next(filter(haystack.__contains__, _LETTERS))
+    while haystack.count(prefix) > _FEW:
+        # The prefix occurs more than once, so it is shorter than r.
+        prefix = next(filter(haystack.__contains__, map(prefix.__add__, _LETTERS)))
+    windows = []
+    for start in range(0, len(haystack), d + r):  # where each word starts
+        j = start - 1
+        while (j := haystack.find(prefix, j + 1, start + d + len(prefix) - 1)) >= 0:
+            windows.append(haystack[j : j + r])
+    return min(windows)
+
+
 class Orbit:
-    """One tau/cycling orbit inside an SC set.
+    """One tau/cycling orbit inside an SC set: the m tau twists of the
+    cycling walk from its seed that are new, held as bytes (a factor is an
+    int below 14, so each is one byte).
 
     `members` lists its elements in canonical order (the representative
     first), built when it is read, and `size` counts them.  The orbit keeps
     the minimal arrows at its representative and the keys of the orbits they
-    lead to, which the quotient graph reads.  A rigid class has
-    `_RigidOrbit`s, any other class `_CyclingOrbit`s; they differ in how they
-    hold the members.
+    lead to, which the quotient graph reads.
+
+    The walk is spelled as one word, and `_haystack` holds its m twists,
+    tau^0 first, joined by 0xFF, a byte no simple uses.  c^j(seed) starts at
+    byte j * `_stride` of the first word, for j below the walk's length d
+    (`_period`), and its initial factor is u of that byte, u = tau^-p:
+      * in a rigid class the word is the seed's cyclic word W, cut to the
+        d + r - 1 bytes of W . W where its length-r windows start (see the
+        module docstring), and the stride is 1.  Every length-r substring of
+        a cut word is a member.
+      * in any other class the word is the walk's members joined by 0xFF,
+        and the stride is r + 1.  0xFF then recurs every r + 1 bytes of the
+        haystack, so a length-r substring that holds no 0xFF is exactly one
+        member.
+    So membership, the m test and a member's position are substring
+    searches.  The key is the least member: found by narrowing in a rigid
+    class (`_least_window`), and the least of the members spelled out in
+    any other.
     """
 
     __slots__ = (
         "_labels",
         "_targets",
         "_power",
-        "_seed",
         "_key",
         "_parent",
         "_arrow",
         "_walk_conjugators",
+        "_haystack",
+        "_period",
+        "_stride",
         "size",
     )
-
-    # A member's factors: the bytes of a rigid member and the tuple of any
-    # other are both its ints.
-    _factors = staticmethod(tuple)
 
     def __init__(
         self,
         power: int,
-        seed: Member,
+        seed: bytes,
         parent: Orbit | None,
         arrow: int,
+        rigid: bool,
+        cap: int,
         seed_conjugator: GarsideBraid | None = None,
     ) -> None:
+        """Walk the orbit from `seed`; raise CapExceededError as soon as a
+        cycling walk outgrows `cap` members, before its twists are built."""
         # The minimal arrows at the representative, in (weight, canonical
         # index) order.
         self._labels: tuple[int, ...] = ()
@@ -312,9 +382,8 @@ class Orbit:
         # Keys, not orbits: a reference to an orbit would close a cycle
         # (to itself or back to the parent), and orbits in cycles outlive
         # their search until the cyclic garbage collector runs.
-        self._targets: list[Member] = []
+        self._targets: list[bytes] = []
         self._power = power
-        self._seed = seed
         # The seed is parent.representative^arrow; without a parent it is the
         # search start, whose conjugator is given.
         self._parent = parent
@@ -323,17 +392,84 @@ class Orbit:
         self._walk_conjugators: dict[int, GarsideBraid] = {}
         if seed_conjugator is not None:
             self._walk_conjugators[0] = seed_conjugator
+        if rigid:
+            word, d = _cyclic_word(power, seed)
+            self._stride = 1
+        else:
+            # SC lies in the ultra summit set, where cycling is periodic, so
+            # the walk comes back to the seed.
+            walk = [seed]
+            if seed:
+                start = tuple(seed)
+                extra, f = _cycle_factors(power, start)
+                while f != start:
+                    if extra:
+                        raise RuntimeError(f"cycling left the super summit set: {f!r}")
+                    if len(walk) >= cap:
+                        raise CapExceededError(cap)
+                    walk.append(bytes(f))
+                    extra, f = _cycle_factors(power, f)
+            word, d = b"\xff".join(walk), len(walk)
+            self._stride = len(seed) + 1
+        # tau has order 4 and commutes with cycling, so each twist of the walk
+        # is the walk of a twist of the seed: if tau(seed) is on the walk, so
+        # are all twists; else if tau^2(seed) is, tau^3(seed) is on the walk
+        # of tau(seed); else the four twists are disjoint.
+        if seed.translate(_TWIST[1]) in word:
+            m = 1
+        elif seed.translate(_TWIST[2]) in word:
+            m = 2
+        else:
+            m = 4
+        self._haystack = b"\xff".join([word.translate(t) for t in _TWIST[:m]])
+        self._period = d
+        self.size = m * d
+        if rigid:
+            self._key = _least_window(self._haystack, len(seed), d)
+        else:
+            self._key = min(self._haystack.split(b"\xff"))
 
     @property
     def members(self) -> tuple[GarsideBraid, ...]:
-        p, factors = self._power, self._factors
-        return tuple(GarsideBraid(p, factors(m)) for m in sorted(self._walk_order()))
+        p = self._power
+        return tuple(GarsideBraid(p, tuple(m)) for m in sorted(self._walk_order()))
 
     @property
     def representative(self) -> GarsideBraid:
-        return GarsideBraid(self._power, self._factors(self._key))
+        return GarsideBraid(self._power, tuple(self._key))
 
-    def _conjugator(self, member: Member) -> GarsideBraid:
+    def _holds(self, member: bytes) -> bool:
+        return member in self._haystack
+
+    def _walk_order(self) -> Iterator[bytes]:
+        """The members word by word, each word in walk order."""
+        haystack, r = self._haystack, len(self._key)
+        starts = range(0, self._period * self._stride, self._stride)
+        width = starts[-1] + r + 1  # a word and the byte after it
+        return (
+            haystack[w + j : w + j + r]
+            for w in range(0, len(haystack) + 1, width)
+            for j in starts
+        )
+
+    def _position(self, member: bytes) -> tuple[int, int]:
+        """The smallest (j, k) with tau^k(c^j(seed)) the member."""
+        step = self._stride
+        word = self._haystack[: (self._period - 1) * step + len(member)]
+        positions = []
+        for k, twist in enumerate(_TWIST):
+            j = word.translate(twist).find(member)
+            if j >= 0:
+                positions.append((j // step, k))
+        return min(positions)
+
+    def _iotas(self, i: int, j: int) -> bytes:
+        """The initial factors iota(c^h(seed)) for i <= h < j."""
+        step = self._stride
+        firsts = self._haystack[i * step : j * step : step]
+        return firsts.translate(_TWIST[-self._power % 4])
+
+    def _conjugator(self, member: bytes) -> GarsideBraid:
         """z with base^z the member."""
         j, k = self._position(member)
         z = self._walk_conjugator(j)
@@ -366,209 +502,15 @@ class Orbit:
         return z
 
 
-def _cyclic_word(power: int, seed: bytes) -> tuple[bytes, int]:
-    """The cyclic word W = f . u(f) . u^2(f) . u^3(f) of a rigid seed f at
-    `power` (u = tau^-power), cut to the first d + r - 1 bytes of W . W,
-    and its smallest rotation period d: the cut holds the length-r windows
-    that start before d, and nothing else."""
-    u = -power % 4
-    # Spelled out: a generator or a comprehension over range(4) costs about
-    # 1 us more per orbit.
-    word = b"".join(
-        [
-            seed,
-            seed.translate(_TWIST[u]),
-            seed.translate(_TWIST[2 * u % 4]),
-            seed.translate(_TWIST[3 * u % 4]),
-        ]
-    )
-    doubled = word + word
-    d = doubled.find(word, 1)
-    return doubled[: d + len(seed) - 1], d
-
-
-# Narrowing stops once the prefix occurs at most this many times; the
-# windows it starts are then compared.
-_FEW = 16
-
-
-def _least_window(haystack: bytes, r: int, d: int) -> bytes:
-    """The least length-r window that starts before d in any word of
-    `haystack` (cut words joined by 0xFF, see `_RigidOrbit`).
-
-    Each substring of a word of length r or less is a prefix of a window, so
-    the least window starts with the least letter, then with the least
-    letter that follows it in the haystack, and so on: the prefix grows one
-    letter at a time until it occurs at most `_FEW` times, and the windows
-    that start with it are compared.
-    """
-    prefix = next(filter(haystack.__contains__, _LETTERS))
-    while haystack.count(prefix) > _FEW:
-        # The prefix occurs more than once, so it is shorter than r.
-        prefix = next(filter(haystack.__contains__, map(prefix.__add__, _LETTERS)))
-    windows = []
-    for start in range(0, len(haystack), d + r):  # where each word starts
-        j = start - 1
-        while (j := haystack.find(prefix, j + 1, start + d + len(prefix) - 1)) >= 0:
-            windows.append(haystack[j : j + r])
-    return min(windows)
-
-
-class _RigidOrbit(Orbit):
-    """An orbit of a rigid class, kept as the tau twists of its seed's
-    cyclic word W (see the module docstring); members are bytes of factors.
-
-    `_haystack` holds the twists of W that are not rotations of one
-    another, tau^0(W) first, joined by a byte no simple uses; `_words`
-    splits them.  Each is cut to the d + r - 1 bytes of W . W where its
-    length-r windows start, d the period of W, so every length-r substring
-    of a word is a window.  The orbit has d members per word, and m*d is at
-    most 4r, so the m words take m(d + r - 1) < 8r bytes.  c^j(seed) is the
-    window at position j of the first word, for j below d.
-    """
-
-    __slots__ = ("_haystack", "_period")
-
-    _member = staticmethod(bytes)
-
-    def __init__(
-        self,
-        power: int,
-        seed: bytes,
-        parent: Orbit | None,
-        arrow: int,
-        seed_conjugator: GarsideBraid | None = None,
-    ) -> None:
-        super().__init__(power, seed, parent, arrow, seed_conjugator)
-        word, self._period = _cyclic_word(power, seed)
-        # If tau(W) is a rotation of W, so are all twists; else if tau^2(W)
-        # is one, tau^3(W) is a rotation of tau(W); else all four differ.
-        if seed.translate(_TWIST[1]) in word:
-            m = 1
-        elif seed.translate(_TWIST[2]) in word:
-            m = 2
-        else:
-            m = 4
-        self._haystack = b"\xff".join([word.translate(t) for t in _TWIST[:m]])
-        self.size = m * self._period
-        self._key = _least_window(self._haystack, len(seed), self._period)
-
-    @property
-    def _words(self) -> list[bytes]:
-        return self._haystack.split(b"\xff")
-
-    def _lookup(self, index: dict[bytes, Orbit]) -> Orbit | None:
-        return index.get(self._key)
-
-    def _close(self, index: dict[bytes, Orbit], room: int, cap: int) -> None:
-        """Add the orbit to `index`; its size is known from its words."""
-        index[self._key] = self
-
-    def _holds(self, member: bytes) -> bool:
-        return member in self._haystack
-
-    def _walk_order(self) -> Iterator[bytes]:
-        r = len(self._seed)
-        return (w[j : j + r] for w in self._words for j in range(self._period))
-
-    def _position(self, member: bytes) -> tuple[int, int]:
-        """The smallest (j, k) with tau^k(c^j(seed)) the member."""
-        word = self._words[0]
-        positions = []
-        for k, twist in enumerate(_TWIST):
-            j = word.translate(twist).find(member)
-            if j >= 0:
-                positions.append((j, k))
-        return min(positions)
-
-    def _iotas(self, i: int, j: int) -> Factors:
-        # iota(c^i(seed)) = u(W[i]) = W[i + r], in the first word.
-        r = len(self._seed)
-        return self._factors(self._haystack[i + r : j + r])
-
-
-class _CyclingOrbit(Orbit):
-    """An orbit of a class with no rigid element, kept as its members'
-    factors: the cycling walk from the seed back to itself, which
-    renormalizes, then its tau twists that are new."""
-
-    __slots__ = ("_members", "_walk", "_steps")
-
-    _member = staticmethod(tuple)
-
-    def _lookup(self, index: dict[Factors, Orbit]) -> Orbit | None:
-        return index.get(self._seed)
-
-    def _close(self, index: dict[Factors, Orbit], room: int, cap: int) -> None:
-        """Find every member from the seed and add them to `index`; raise
-        CapExceededError as soon as the walk outgrows `room` members, before
-        its twists are built.
-
-        SC lies in the ultra summit set, where cycling is periodic, so the
-        walk comes back to the seed.  tau has order 4 and commutes with
-        cycling, so each twist of the walk is the walk of a twist of the
-        seed, and the orbit is the first m twists of the walk, as in
-        `_RigidOrbit`: if tau(seed) is on the walk, so are all twists; else
-        if tau^2(seed) is, tau^3(seed) is on the walk of tau(seed); else the
-        four twists are disjoint.
-        """
-        seed = self._seed
-        walk = [seed]
-        if seed:
-            extra, f = _cycle_factors(self._power, seed)
-            while f != seed:
-                if extra:
-                    raise RuntimeError(f"cycling left the super summit set: {f!r}")
-                if len(walk) >= room:
-                    raise CapExceededError(cap)
-                walk.append(f)
-                extra, f = _cycle_factors(self._power, f)
-        members = dict.fromkeys(walk)
-        if tuple(map(TAU_POWER[1].__getitem__, seed)) in members:
-            m = 1
-        elif tuple(map(TAU_POWER[2].__getitem__, seed)) in members:
-            m = 2
-        else:
-            m = 4
-        for twist in TAU_POWER[1:m]:
-            members.update(dict.fromkeys(tuple(map(twist.__getitem__, f)) for f in walk))
-        self.size = m * len(walk)
-        self._members = members
-        self._walk = walk
-        self._steps: dict[Factors, tuple[int, int]] | None = None
-        self._key = min(members)
-        index.update(dict.fromkeys(members, self))
-
-    def _holds(self, member: Factors) -> bool:
-        return member in self._members
-
-    def _walk_order(self) -> Iterator[Factors]:
-        return iter(self._members)
-
-    def _position(self, member: Factors) -> tuple[int, int]:
-        """The smallest (j, k) with tau^k(c^j(seed)) the member."""
-        if self._steps is None:
-            steps: dict[Factors, tuple[int, int]] = {}
-            for j, f in enumerate(self._walk):
-                for k, twist in enumerate(TAU_POWER):
-                    steps.setdefault(tuple(map(twist.__getitem__, f)), (j, k))
-            self._steps = steps
-        return self._steps[member]
-
-    def _iotas(self, i: int, j: int) -> Factors:
-        untwist = TAU_POWER[-self._power % 4]
-        return tuple(untwist[f[0]] for f in self._walk[i:j])
-
-
 class SCSet(_Record):
     """The sliding circuit set of `base`, with conjugators from `base`.
 
     `elements` lists the set in search order (representative first), and
     `conjugators()` maps each element e, in the same order, to a braid z
-    with base^z = e.  The set keeps its orbits as factor tuples or bytes,
-    so both build their braids when they are called, as do the orbits'
-    `members`.  `orbits` lists the tau/cycling orbits sorted by
-    representative.  Sets compare by identity.
+    with base^z = e.  The set keeps its orbits as bytes, so both build
+    their braids when they are called, as do the orbits' `members`.
+    `orbits` lists the tau/cycling orbits sorted by representative.  Sets
+    compare by identity.
     """
 
     __slots__ = ("base", "representative", "size", "rigid", "orbits", "_found")
@@ -590,20 +532,23 @@ class SCSet(_Record):
         # The orbits in the order the search found them.
         _set(self, "_found", _found)
 
-    def _walk(self) -> Iterator[tuple[GarsideBraid, Orbit, Member]]:
-        """Every element, its orbit and its member there, in search order."""
-        p = self.representative.power
-        for orbit in self._found:
-            for member in orbit._walk_order():
-                yield GarsideBraid(p, orbit._factors(member)), orbit, member
-
     @property
     def elements(self) -> tuple[GarsideBraid, ...]:
-        return tuple(element for element, _, _ in self._walk())
+        p = self.representative.power
+        return tuple(
+            GarsideBraid(p, tuple(m))
+            for orbit in self._found
+            for m in orbit._walk_order()
+        )
 
     def conjugators(self) -> dict[GarsideBraid, GarsideBraid]:
         """A new dict {element: z with base^z = element}, in search order."""
-        return {element: orbit._conjugator(m) for element, orbit, m in self._walk()}
+        p = self.representative.power
+        return {
+            GarsideBraid(p, tuple(m)): orbit._conjugator(m)
+            for orbit in self._found
+            for m in orbit._walk_order()
+        }
 
 
 def _check_cap(cap: int) -> None:
@@ -619,43 +564,40 @@ def _orbits(entry: SlidingTrajectory, cap: int) -> Iterator[Orbit]:
     """
     start = entry.representative
     power = start.power
-    # {key: orbit} in a rigid class, else {factors of each member: orbit}.
-    index: dict = {}
+    index: dict[bytes, Orbit] = {}  # {key: orbit}
     orbits: list[Orbit] = []  # closed orbits, in the order found
     size = 0
+    rigid = is_rigid(start)
     member = _is_rigid
-    kind: type[Orbit] = _RigidOrbit
-    if not is_rigid(start):
-        c = entry.cycle_start
-        member = _membership(_raw(entry.steps[c:]))
-        kind = _CyclingOrbit
+    if not rigid:
+        member = _membership(_raw(entry.steps[entry.cycle_start :]))
 
     def close(orbit: Orbit) -> Orbit:
-        """Close and record a new orbit, which gives it its key."""
+        """Record a new orbit."""
         nonlocal size
-        orbit._close(index, cap - size, cap)
         size += orbit.size
         if size > cap:
             raise CapExceededError(cap)
+        index[orbit._key] = orbit
         orbits.append(orbit)
         return orbit
 
-    seed = kind._member(start.factors)
-    yield close(kind(power, seed, None, _ONE, entry.accumulated_conjugator))
+    z = entry.accumulated_conjugator
+    yield close(Orbit(power, bytes(start.factors), None, _ONE, rigid, cap, z))
     for orbit in orbits:  # grows while the search runs
-        arrows = _arrows(power, orbit._factors(orbit._key), member)
+        arrows = _arrows(power, tuple(orbit._key), member)
         orbit._labels = tuple(s for s, _ in arrows)
         for s, target in arrows:
             # iota's target (None) lies in the orbit it leaves; most others lie
             # there or in its parent, which a substring search finds.
             parent = orbit._parent
-            if target is None or orbit._holds(seed := kind._member(target)):
+            if target is None or orbit._holds(seed := bytes(target)):
                 orbit._targets.append(orbit._key)
             elif parent is not None and parent._holds(seed):
                 orbit._targets.append(parent._key)
             else:
-                new = kind(power, seed, orbit, s)
-                known = new._lookup(index)
+                new = Orbit(power, seed, orbit, s, rigid, cap)
+                known = index.get(new._key)
                 if known is None:
                     known = close(new)
                     yield known
@@ -704,8 +646,7 @@ def _find_conjugator(
     rigid = is_rigid(rx)
     if (rx.power, len(rx.factors), rigid) != (ry.power, len(ry.factors), is_rigid(ry)):
         return None
-    kind = _RigidOrbit if rigid else _CyclingOrbit
-    targets = (kind._member(ry.factors), kind._member(rx.factors))
+    targets = (bytes(ry.factors), bytes(rx.factors))
     searches = [_orbits(tx, cap), _orbits(ty, cap)]
     for side in chain((0,), cycle((0, 1))):  # x, x, y, x, y, ...
         search = searches[side]

@@ -101,12 +101,15 @@ _ARTIN_ATOM: dict[Simple, tuple[int, ...]] = {
 # same size that is not conjugate to it, so that the solver reads all of
 # SC(word) or all of the other set, and a cap of |SC| - 1 stops both).
 # beta_1 is rigid; the others have cycling orbits that are m = 1, 2 and 4
-# tau twists of their walk.
+# tau twists of their walk.  The last has three orbits of one walk each, and
+# its search walks two of them again after all 12 elements are closed, when
+# an arrow leads from one orbit to its sibling.
 CAP_CLASSES = (
     (beta_word(1), 160, "d^0 . a34 . a23 . a12 . a12 . a14 . a24 . a13 . a14"),
     ("s1.s2.s3^3.s2^-1.s1^-3", 60, "d^-2 . c134 . c234 . a34 . a13 . a13"),
     ("a12^3.a23^-3", 72, "d^-3 . c124 . c134 . c234 . a24 . a12 . a12"),
     ("s1^4.s2^-4", 96, "d^-4 . c134 . c234 . c123 . c124 . a24 . a24 . a34 . a34"),
+    ("c123.a12.a14.a34", 12, "c123.a12.a12.a13"),
 )
 
 

@@ -215,9 +215,9 @@ def test_a_cap_of_the_set_size_fits_every_orbit_shape():
             compute_sc(x, cap=size - 1)
         assert info.value.cap == size - 1
         shapes.append(
-            "rigid" if sc.rigid else {o.size // len(o._walk) for o in sc.orbits}
+            "rigid" if sc.rigid else {o.size // o._period for o in sc.orbits}
         )
-    assert shapes == ["rigid", {1}, {2}, {4}]
+    assert shapes == ["rigid", {1}, {2}, {4}, {1}]
 
 
 def test_cap_stops_a_cycling_walk_before_its_twists(monkeypatch):
@@ -268,7 +268,7 @@ def test_search_cycles_only_to_close_walks(monkeypatch):
     (orbit,) = sc.orbits
     rep = orbit.representative
     assert not sc.rigid and TAU_POWER[-rep.power % 4][rep.factors[0]] in orbit._labels
-    assert counts["cycle"] == len(orbit._walk) == 4
+    assert counts["cycle"] == orbit._period == 4
 
 
 def test_find_conjugator_exits_early(monkeypatch):
@@ -431,13 +431,12 @@ def test_single_lookups_agree_with_iteration(x):
     # class, a substring search of its haystack); the orbits' answers must
     # agree with the elements they list.
     sc = compute_sc(x)
-    kind = type(sc.orbits[0])
     conjugators = sc.conjugators()
     elements = set(sc.elements)
     assert set(conjugators) == elements
 
     def holders(y):
-        return [o for o in sc.orbits if o._holds(kind._member(y.factors))]
+        return [o for o in sc.orbits if o._holds(bytes(y.factors))]
 
     for element in elements:
         (orbit,) = holders(element)
@@ -665,17 +664,17 @@ def test_diagonal_orbits_are_at_most_bivalent():
     assert saw_bivalent  # the bound is attained, so the check is not vacuous
 
 
-def _check_rigid_orbits(x: GarsideBraid) -> set[str]:
-    """Check the keyed orbits of SC(x), x rigid, against orbits closed
-    element by element.  Returns what the set showed: "small" if some orbit
-    is smaller than 4*len, "repeat" if the least letter of some orbit
-    starts more than one of its members, "twisted" if p is not 0 mod 4."""
+def _check_orbits(x: GarsideBraid) -> set[str]:
+    """Check the orbits of SC(x) against orbits closed element by element,
+    and each member's position against the orbit's walk, cycled and twisted
+    by conjugation.  Returns what the set showed: "small" if some orbit is
+    smaller than 4*len, "repeat" if the least letter of some orbit starts
+    more than one of its members, "twisted" if p is not 0 mod 4."""
     sc = compute_sc(x)
-    assert sc.rigid
     assert set(sc.elements) == set(reference_sc(x))
     reference = orbit_partition(sc.elements)
     assert [o.members for o in sc.orbits] == reference
-    p, r = sc.representative.power, x.canonical_length
+    p, r = sc.representative.power, sc.representative.canonical_length
     shown = {"twisted"} if p % 4 else set()
     elements = set(sc.elements)
     for i, orbit in enumerate(sc.orbits):
@@ -683,20 +682,39 @@ def _check_rigid_orbits(x: GarsideBraid) -> set[str]:
         assert orbit.size == len(members) == len(set(members))
         assert orbit.representative == members[0]
         for y in members:
-            assert is_rigid(y) and y in elements and orbit._holds(bytes(y.factors))
+            assert is_rigid(y) == sc.rigid
+            assert y in elements and orbit._holds(bytes(y.factors))
+        # The walk from the seed, the first member the orbit lists in walk
+        # order, and its four twists: the orbit is the m distinct ones.
+        walk = [GarsideBraid(p, tuple(next(orbit._walk_order())))]
+        while r:
+            y = walk[-1]
+            y = conjugate(y, GarsideBraid(0, (TAU_POWER[-p % 4][y.factors[0]],)))
+            if y == walk[0]:
+                break
+            walk.append(y)
+        twists = [[conjugate(y, GarsideBraid(k)) for y in walk] for k in range(4)]
+        m = len({frozenset(twist) for twist in twists})
+        assert orbit._period == len(walk) and orbit.size == m * len(walk)
+        for y in members:
+            position = min(
+                (j, k) for k in range(4) for j in range(len(walk)) if twists[k][j] == y
+            )
+            assert orbit._position(bytes(y.factors)) == position, y
         # The key is the least of all m*d windows, found by brute force.
         windows = [y.factors for y in reference[i]]
         assert orbit._key == bytes(min(windows))
-        least = min(min(w) for w in windows)
-        if sum(w[0] == least for w in windows) > 1:
+        least = min(min(w, default=0) for w in windows)
+        if sum(w[:1] == (least,) for w in windows) > 1:
             shown.add("repeat")
         # Same-length non-members are not in the orbit's haystack: the next
-        # orbit's members, and windows that straddle two of the orbit's
-        # words across the byte that joins them.
+        # orbit's members, and windows that straddle two of the pieces that
+        # 0xFF joins (the words of a rigid orbit, the members of any other).
+        pieces = orbit._haystack.split(b"\xff")
         straddling = {
             GarsideBraid(p, tuple(map(Simple, (u + v)[len(u) - k : len(u) - k + r])))
-            for u in orbit._words
-            for v in orbit._words
+            for u in pieces
+            for v in pieces
             for k in range(1, r)
         }
         for y in (*reference[(i + 1) % len(reference)], *straddling):
@@ -717,7 +735,7 @@ def _check_rigid_orbits(x: GarsideBraid) -> set[str]:
     exponent=st.integers(1, 3),
 )
 def test_rigid_orbit_keys_match_materialized_orbits(seed, kind, shift, exponent):
-    _check_rigid_orbits(rigid_braid(seed, kind, shift, exponent))
+    _check_orbits(rigid_braid(seed, kind, shift, exponent))
 
 
 def test_rigid_orbit_keys_on_symmetric_words():
@@ -728,15 +746,26 @@ def test_rigid_orbit_keys_on_symmetric_words():
     for seed in range(60):
         kind = RIGID_KINDS[seed % 3]
         x = rigid_braid(seed, kind, seed % 7 - 3, seed // 3 % 3 + 1)
-        shown.update(_check_rigid_orbits(x))
+        shown.update(_check_orbits(x))
     assert shown["small"] >= 30
     assert shown["repeat"] >= 20 and shown["twisted"] >= 20
+
+
+def test_cycling_orbits_match_materialized_orbits():
+    # The spelled-out layout of a non-rigid class: orbits of m = 1, 2 and 4
+    # twists of their walk, sets of several orbits, and a delta power, whose
+    # one member is empty.
+    bases = [parse_braid(word) for word, _, _ in CAP_CLASSES[1:]]
+    bases += [GarsideBraid(2, ()), braid_from_factors(0, [Simple.C123, M, M, W])]
+    for x in bases:
+        assert not compute_sc(x).rigid
+        _check_orbits(x)
 
 
 def _check_orbit_words(orbit, members) -> int:
     """Check a rigid orbit's key, size and haystack length against its
     members; returns its number of words m."""
-    r, d = len(orbit._seed), orbit._period
+    r, d = len(orbit._key), orbit._period
     m = orbit._haystack.count(b"\xff") + 1
     assert orbit._key == bytes(min(y.factors for y in members))
     assert orbit.size == m * d == len(members)
@@ -771,7 +800,8 @@ def test_rigid_orbit_keys_on_every_short_rigid_form():
             forms = (GarsideBraid(p, factors) for factors in _rigid_forms(r, p))
             for members in orbit_partition(forms):
                 for y in members:
-                    orbit = circuits._RigidOrbit(p, bytes(y.factors), None, Simple.ONE)
+                    seed = bytes(y.factors)
+                    orbit = circuits.Orbit(p, seed, None, Simple.ONE, True, DEFAULT_CAP)
                     shown.add(_check_orbit_words(orbit, members))
                     if orbit._period < r:
                         shown.add("d < r")
@@ -792,7 +822,9 @@ def test_rigid_orbit_keys_on_long_ties():
                 y = GarsideBraid(p, seed)
                 if not is_rigid(y):
                     continue
-                orbit = circuits._RigidOrbit(p, bytes(seed), None, Simple.ONE)
+                orbit = circuits.Orbit(
+                    p, bytes(seed), None, Simple.ONE, True, DEFAULT_CAP
+                )
                 shown.add(_check_orbit_words(orbit, reference_orbit(y)))
                 if tail:
                     assert orbit._haystack.count(orbit._key[:12]) > circuits._FEW
@@ -817,6 +849,55 @@ def test_rigid_orbit_words_are_cut_to_their_windows():
         tracemalloc.stop()
     assert sum(len(orbit._haystack) for orbit in sc.orbits) == 79_086
     assert retained <= 0.2 * 2**20
+
+
+def test_cycling_orbits_are_held_as_bytes():
+    # SC(a12^50 . a23^-50) is one orbit of 1,200 members of canonical length
+    # 100, the four twists of a cycling walk of 300.  Spelled out as bytes
+    # they take about 120 KiB; as factor tuples they took about 1 MiB.
+    x = parse_braid("a12^50.a23^-50")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sc = compute_sc(x)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (sc.size, len(sc.orbits)) == (1200, 1)
+    assert retained <= 0.25 * 2**20
+
+
+def test_cycling_steps_on_a_non_rigid_family(monkeypatch):
+    # Counted, not timed: SC(a12^k . a23^-k) has canonical length l = 2k and
+    # 12 l elements, in 3 orbits when 3 divides k and in one otherwise.  The
+    # search cycles once per member of each orbit's walk, 3 l steps in all
+    # for even k and 6 l for odd k.  An arrow from one of the 3 orbits to its
+    # sibling (not its parent) is found only by its key, after its walk: 2
+    # repeat walks of one orbit's length.
+    calls = 0
+    cycle = circuits._cycle_factors
+
+    def counting(power, factors):
+        nonlocal calls
+        calls += 1
+        return cycle(power, factors)
+
+    monkeypatch.setattr(circuits, "_cycle_factors", counting)
+    for k in range(1, 16):
+        calls = 0
+        sc = compute_sc(parse_braid(f"a12^{k}.a23^-{k}"))
+        length = sc.representative.canonical_length
+        assert not sc.rigid and length == 2 * k
+        assert sc.size == 12 * length
+        walks = [orbit._period for orbit in sc.orbits]
+        assert sum(walks) == (3 if k % 2 == 0 else 6) * length
+        if k % 3:
+            assert len(walks) == 1 and calls == walks[0], k
+        else:
+            assert len(walks) == 3 and len(set(walks)) == 1
+            assert calls == 5 * walks[0], k
 
 
 def test_sc_sets_hold_no_reference_cycles():
